@@ -3,8 +3,9 @@
 Every experiment that needs "a trained original and its unlearned
 variants" goes through here so that tests, the CLI, and the experiment
 harness all agree on what the benchmark is. Bundles are built lazily and
-cached per (seed, forget-set); a full five-method suite for one seed
-trains in a few seconds on a laptop.
+cached per (seed, forget-set); bundles of one seed share its dataset and
+clean model. A full five-method suite for one seed trains in a few seconds
+on a laptop.
 """
 
 from dataclasses import dataclass, replace, field
@@ -54,18 +55,24 @@ class BenchmarkSpec:
 
 @dataclass
 class SeedBundle:
-    """Lazily trained artifacts for one benchmark seed and forget set."""
+    """Lazily trained artifacts for one benchmark seed and forget set.
+
+    ``seed_cache`` holds what depends on the seed alone (the dataset and
+    the clean model); ``BundleCache`` hands every forget set of one seed
+    the same dict, so those are built once per seed.
+    """
 
     bench: BenchmarkSpec
     seed: int
     forget: frozenset = DEFAULT_FORGET
+    seed_cache: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dataset(self) -> LabeledDataset:
-        if "dataset" not in self._cache:
-            self._cache["dataset"] = self.bench.dataset(self.seed)
-        return self._cache["dataset"]
+        if "dataset" not in self.seed_cache:
+            self.seed_cache["dataset"] = self.bench.dataset(self.seed)
+        return self.seed_cache["dataset"]
 
     @property
     def task(self) -> ForgetTask:
@@ -78,11 +85,11 @@ class SeedBundle:
     @property
     def clean(self) -> ModelArtifact:
         """The original model, trained on all classes with no ledger."""
-        if "clean" not in self._cache:
+        if "clean" not in self.seed_cache:
             result = train(build(self.spec, self.seed), self.dataset,
                            self.bench.train_config(self.seed))
-            self._cache["clean"] = result.model
-        return self._cache["clean"]
+            self.seed_cache["clean"] = result.model
+        return self.seed_cache["clean"]
 
     @property
     def ledgered(self) -> TrainResult:
@@ -134,10 +141,12 @@ class BundleCache:
     def __init__(self, bench: BenchmarkSpec | None = None):
         self.bench = bench or BenchmarkSpec()
         self._bundles: dict = {}
+        self._seed_caches: dict = {}
 
     def get(self, seed: int, forget=DEFAULT_FORGET) -> SeedBundle:
         key = (seed, frozenset(forget))
         if key not in self._bundles:
-            self._bundles[key] = SeedBundle(self.bench, seed,
-                                            frozenset(forget))
+            self._bundles[key] = SeedBundle(
+                self.bench, seed, frozenset(forget),
+                seed_cache=self._seed_caches.setdefault(seed, {}))
         return self._bundles[key]

@@ -23,6 +23,7 @@ All randomness flows from per-(seed, attack, class) substreams, so IPV
 sets are bit-reproducible and per-class runs are order-independent.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ VALID_LO = 0.0
 VALID_HI = 1.0
 
 FITNESS_FLOOR = 1e-12
+
+
+class InversionError(ValueError):
+    """Black-box search met an undefined state: a non-finite oracle output
+    or a population that lost its best individual."""
 
 
 class AllInitsDiverged(RuntimeError):
@@ -257,8 +263,14 @@ def invert_whitebox(model: ModelArtifact, target: int,
 
 
 def ga_fitness(oracle: QueryOracle, x: np.ndarray, target: int) -> float:
-    """P(target|x) through the oracle; costs exactly one query."""
-    return float(oracle(x)[target])
+    """P(target|x) through the oracle; costs exactly one query.
+
+    Raises InversionError when the oracle's answer is NaN or infinite.
+    """
+    value = float(oracle(x)[target])
+    if not math.isfinite(value):
+        raise InversionError(f"oracle returned fitness {value} for class {target}")
+    return value
 
 
 def ga_sigma(cfg: GAConfig, generation: int) -> float:
@@ -313,7 +325,9 @@ def invert_blackbox(oracle: QueryOracle, target: int,
 
     When ``history`` is a list, the best population fitness is appended
     once after the initial evaluation and once per completed generation;
-    elitism makes that sequence non-decreasing.
+    elitism makes that sequence non-decreasing. A non-finite fitness or
+    readout from the oracle, or a generation that loses the best fitness,
+    raises InversionError.
     """
     cfg = cfg or GAConfig()
     shape = input_shape if input_shape is not None else oracle.input_shape
@@ -363,13 +377,17 @@ def invert_blackbox(oracle: QueryOracle, target: int,
             prev_best = fitness.max()
             population = np.concatenate([population[elite_idx], children])
             fitness = np.concatenate([fitness[elite_idx], child_fit])
-            assert fitness.max() >= prev_best, "elitism violated"
+            if fitness.max() < prev_best:
+                raise InversionError(
+                    f"elitism violated for class {target} in generation {g}")
             if history is not None:
                 history.append(float(fitness.max()))
     except _BudgetExhausted:
         truncated = True
     probs = oracle(best_x.reshape(shape))
     used += 1
+    if not np.isfinite(probs).all():
+        raise InversionError(f"oracle readout for class {target} is not finite")
     if best_fit == -np.inf:
         # budget of 1: the only query is the final readout
         best_fit = float(probs[target])

@@ -206,25 +206,35 @@ def build(spec: ModelSpec, seed: int) -> ModelArtifact:
                          provenance={"role": "original", "seed": seed})
 
 
+def aux_init(spec: ModelSpec, seed: int, class_id: int | None = None,
+             index: int = 0) -> tuple:
+    """Fresh parameters and provenance for one auxiliary clone.
+
+    The parameters come from the clone's own ``STREAM_AUX`` stream;
+    ``class_id``/``index`` separate the streams of sibling clones so a batch
+    of auxiliary models starts from distinct heads. Returns
+    ``(params, provenance)``; only the head layers of ``params`` are used.
+    """
+    key = (rngmod.STREAM_AUX,) if class_id is None \
+        else (rngmod.STREAM_AUX, class_id, index)
+    prov = {"role": "auxiliary", "seed": seed}
+    if class_id is not None:
+        prov["class_id"] = class_id
+        prov["index"] = index
+    return init_params(spec, rngmod.stream(seed, *key)), prov
+
+
 def clone_frozen_head_template(target: ModelArtifact, seed: int,
                                class_id: int | None = None,
                                index: int = 0) -> ModelArtifact:
     """Copy the feature extractor, re-initialize the head, freeze the rest.
 
-    ``class_id``/``index`` separate the init streams of sibling clones so a
-    batch of auxiliary models starts from distinct heads.
+    The head init is ``aux_init(target.spec, seed, class_id, index)``.
     """
-    key = (rngmod.STREAM_AUX,) if class_id is None \
-        else (rngmod.STREAM_AUX, class_id, index)
-    gen = rngmod.stream(seed, *key)
-    fresh = init_params(target.spec, gen)
+    fresh, prov = aux_init(target.spec, seed, class_id, index)
     params = copy_params(target.params)
     for i in range(target.feature_boundary, len(params)):
         params[i] = fresh[i]
-    prov = {"role": "auxiliary", "seed": seed}
-    if class_id is not None:
-        prov["class_id"] = class_id
-        prov["index"] = index
     return ModelArtifact(target.spec, target.layers, params, target.feature_boundary,
                          prov, trainable_from=target.feature_boundary)
 
@@ -236,8 +246,8 @@ class ParameterVector:
     head_only: bool = True
 
 
-def _source_id(model: ModelArtifact) -> str:
-    prov = model.provenance
+def source_id(prov: dict) -> str:
+    """Short provenance label of a parameter vector."""
     bits = [str(prov.get("role", "unknown"))]
     for key in ("method", "class_id", "seed"):
         if key in prov:
@@ -251,7 +261,8 @@ def head_vector(model: ModelArtifact, include_bias: bool = True) -> ParameterVec
     parts = [head["W"].ravel(order="C")]
     if include_bias:
         parts.append(head["b"].ravel(order="C"))
-    return ParameterVector(np.concatenate(parts), _source_id(model), head_only=True)
+    return ParameterVector(np.concatenate(parts), source_id(model.provenance),
+                           head_only=True)
 
 
 def unflatten_head(model: ModelArtifact, vector: np.ndarray,

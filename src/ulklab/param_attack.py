@@ -22,15 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from . import rng as rngmod
 from .data import (UNLEARN_CANDIDATE, ForgetTask, LabeledDataset,
                    per_class_subsets)
-from .models import (ModelArtifact, ParameterVector,
-                     clone_frozen_head_template, head_vector)
-from .training import TrainConfig, train
+from .models import (ModelArtifact, ParameterVector, aux_init, head_vector,
+                     source_id)
+from .training import TrainConfig, frozen_features
+from .training import train  # noqa: F401  (perfbench patches it by this name)
 
 DEFAULT_SUBSET_SIZE = 20
 DEFAULT_MODELS_PER_CLASS = 50
 DEFAULT_TREE_DEPTH = 4
+SPLIT_BLOCK = 32  # features per pass of the split search; bounds its memory
 AUX_EPOCHS = 15
 AUX_LR = 0.1
 
@@ -90,25 +94,82 @@ def train_aux_models(target: ModelArtifact, subsets: list,
                      cfg: TrainConfig) -> list:
     """Fit one frozen-feature auxiliary head per subset.
 
-    Head inits are drawn from per-(class, index) streams of ``cfg.seed``,
-    so the batch is deterministic and no two clones share an init.
+    Head inits are drawn from per-(class, index) streams of ``cfg.seed``
+    (``models.aux_init``), so the batch is deterministic and no two clones
+    share an init. The heads of one class whose subsets share a size train
+    in lockstep as one stacked problem. Each head still takes exactly the
+    steps that ``train(clone_frozen_head_template(...), ...)`` gives it
+    alone, so the vectors match that path bit for bit. Output order
+    follows ``subsets``. The head is the target's final (dense) layer.
     """
+    n_classes = target.spec.n_classes
     counters: dict = defaultdict(int)
-    out = []
-    for sub in subsets:
+    groups: dict = defaultdict(list)
+    for pos, sub in enumerate(subsets):
         if len(sub.x) == 0:
             raise ValueError(f"class {sub.class_id} subset is empty")
-        idx = counters[sub.class_id]
+        if not 0 <= sub.class_id < n_classes:
+            raise ValueError(f"labels outside [0,{n_classes})")
+        groups[(sub.class_id, len(sub.x))].append((pos, counters[sub.class_id]))
         counters[sub.class_id] += 1
-        template = clone_frozen_head_template(target, cfg.seed,
-                                              class_id=sub.class_id, index=idx)
-        y = np.full(len(sub.x), sub.class_id, dtype=np.int64)
-        ds = LabeledDataset(sub.x, y, n_classes=target.spec.n_classes,
-                            split=f"aux-c{sub.class_id}-i{idx}", filtered=True)
-        result = train(template, ds, cfg)
-        out.append(AuxHead(head_vector(result.model), sub.class_id, idx,
-                           sub.role))
+    out = [None] * len(subsets)
+    boundary = target.feature_boundary
+    head = target.layers[boundary]
+    for (class_id, k), members in groups.items():
+        m = len(members)
+        feats = np.empty((m, k, head.in_dim))
+        w = np.empty((m, head.in_dim, head.out_dim))
+        b = np.empty((m, head.out_dim))
+        sources = []
+        for j, (pos, idx) in enumerate(members):
+            feats[j] = frozen_features(
+                target, np.ascontiguousarray(subsets[pos].x, dtype=np.float64),
+                boundary)
+            params, prov = aux_init(target.spec, cfg.seed, class_id, idx)
+            w[j], b[j] = params[boundary]["W"], params[boundary]["b"]
+            sources.append(source_id(prov))
+        _train_heads(feats, w, b, class_id, cfg)
+        vectors = np.concatenate([w.reshape(m, -1), b], axis=1)
+        for (pos, idx), vec, source in zip(members, vectors, sources):
+            out[pos] = AuxHead(ParameterVector(vec, source), class_id, idx,
+                               subsets[pos].role)
     return out
+
+
+def _train_heads(feats: np.ndarray, w: np.ndarray, b: np.ndarray,
+                 class_id: int, cfg: TrainConfig) -> None:
+    """Minibatch SGD on the mean CE of ``class_id`` for stacked dense heads.
+
+    ``feats`` is (m, k, h); ``w`` (m, h, T) and ``b`` (m, T) are updated in
+    place. Every head sees the batch order that ``train`` draws for a
+    k-row dataset and the same per-slice arithmetic as
+    ``autodiff.grad_params`` and ``autodiff.apply_update``.
+    """
+    k = feats.shape[1]
+    gen = rngmod.stream(cfg.seed, rngmod.STREAM_BATCH)
+    step = -1.0 * cfg.lr
+    vel_w = vel_b = None
+    for _ in range(cfg.epochs):
+        order = gen.permutation(k)
+        for lo in range(0, k, cfg.batch_size):
+            x = feats[:, order[lo:lo + cfg.batch_size]]
+            dz = ad.softmax(x @ w + b[:, None, :])
+            dz[:, :, class_id] -= 1.0
+            dz /= x.shape[1]
+            g_w = np.swapaxes(x, 1, 2) @ dz
+            g_b = dz.sum(axis=1)
+            if cfg.optimizer == "sgd-momentum":
+                if vel_w is None:
+                    vel_w, vel_b = np.zeros_like(g_w), np.zeros_like(g_b)
+                for vel, g in ((vel_w, g_w), (vel_b, g_b)):
+                    vel *= cfg.momentum
+                    vel += g
+                    np.multiply(vel, step, out=g)
+            else:
+                g_w *= step
+                g_b *= step
+            w += g_w
+            b += g_b
 
 
 def aux_config(seed: int, epochs: int = AUX_EPOCHS, lr: float = AUX_LR,
@@ -140,7 +201,8 @@ def dot_features(w_target: ParameterVector, aux: list,
 
 def diff_features(w_target: ParameterVector, aux: list) -> DiffFeatureSet:
     """One vector row per auxiliary head: ``w_aux - w_target``."""
-    rows = np.stack([head.vector.values - w_target.values for head in aux])
+    rows = np.stack([head.vector.values for head in aux])
+    rows -= w_target.values
     return DiffFeatureSet(rows,
                           np.asarray([_label_of(h) for h in aux]),
                           np.asarray([h.class_id for h in aux]),
@@ -285,50 +347,77 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_split(x: np.ndarray, y: np.ndarray):
+def _best_split(x: np.ndarray, rows: np.ndarray, y: np.ndarray):
     """Exhaustive (feature, midpoint) search minimizing weighted Gini.
 
-    Ties prefer the lower feature index, then the lower threshold.
-    Returns None when no split improves on the parent node.
+    Searches the node holding ``x[rows]`` with labels ``y``. CART's sorted
+    prefix-count scan: per block of ``SPLIT_BLOCK`` features, sort the
+    columns, count label-1 rows left of every cut with one ``cumsum`` and
+    score all cuts between distinct neighbours at once. Cuts are visited
+    in (feature, threshold) order and one replaces the best only when it
+    gains more than 1e-12 over it, so ties prefer the lower feature index,
+    then the lower threshold. Returns None when no split improves on the
+    parent node.
     """
-    n, d = x.shape
+    n, d = len(rows), x.shape[1]
     parent = _gini(np.bincount(y, minlength=2))
-    best = None
-    for f in range(d):
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        sc, sy = col[order], y[order]
-        ones = np.cumsum(sy)
-        total_ones = ones[-1]
-        for i in range(1, n):
-            if sc[i] == sc[i - 1]:
-                continue
-            left_counts = np.array([i - ones[i - 1], ones[i - 1]])
-            right_counts = np.array([(n - i) - (total_ones - ones[i - 1]),
-                                     total_ones - ones[i - 1]])
-            w = (i * _gini(left_counts) + (n - i) * _gini(right_counts)) / n
-            gain = parent - w
-            if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                best = (gain, f, float((sc[i - 1] + sc[i]) / 2.0))
-    if best is None:
-        return None
-    return best[1], best[2]
+    left = np.arange(1, n, dtype=np.float64)
+    right = n - left
+    total_ones = float(y.sum())
+    floor, best = 1e-12, None
+    for lo in range(0, d, SPLIT_BLOCK):
+        cols = x[rows, lo:lo + SPLIT_BLOCK].T
+        order = np.argsort(cols, axis=1, kind="stable")
+        sc = np.take_along_axis(cols, order, axis=1)
+        ones = np.cumsum(y[order[:, :-1]], axis=1, dtype=np.float64)
+        gain = _weighted_gini(left, ones)
+        gain += _weighted_gini(right, np.subtract(total_ones, ones, out=ones))
+        gain /= n
+        np.subtract(parent, gain, out=gain)
+        gain[sc[:, 1:] == sc[:, :-1]] = -np.inf
+        scan = gain.ravel()
+        pos = 0
+        while True:
+            hits = np.flatnonzero(scan[pos:] > floor)
+            if hits.size == 0:
+                break
+            pos += int(hits[0])
+            floor = scan[pos] + 1e-12
+            f, i = divmod(pos, n - 1)
+            best = (lo + f, float((sc[f, i] + sc[f, i + 1]) / 2.0))
+            pos += 1
+    return best
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> TreeNode:
-    ones = int((y == 1).sum())
+def _weighted_gini(count: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """``count * _gini([count - ones, ones])``, elementwise over cuts."""
+    p1 = ones / count
+    p0 = count - ones
+    p0 /= count
+    p0 *= p0
+    p1 *= p1
+    p0 += p1
+    np.subtract(1.0, p0, out=p0)
+    p0 *= count
+    return p0
+
+
+def _grow(x: np.ndarray, rows: np.ndarray, y: np.ndarray, depth: int,
+          max_depth: int) -> TreeNode:
+    ones = int(y.sum())
     zeros = len(y) - ones
     if ones == 0 or zeros == 0 or depth == max_depth:
         # majority label; exact tie falls back to 0 (rest side)
         return TreeNode(label=1 if ones > zeros else 0)
-    split = _best_split(x, y)
+    split = _best_split(x, rows, y)
     if split is None:
         return TreeNode(label=1 if ones > zeros else 0)
     f, thr = split
-    mask = x[:, f] <= thr
+    mask = x[rows, f] <= thr
     return TreeNode(feature=f, threshold=thr,
-                    left=_grow(x[mask], y[mask], depth + 1, max_depth),
-                    right=_grow(x[~mask], y[~mask], depth + 1, max_depth))
+                    left=_grow(x, rows[mask], y[mask], depth + 1, max_depth),
+                    right=_grow(x, rows[~mask], y[~mask], depth + 1,
+                                max_depth))
 
 
 def tree_fit(features: DiffFeatureSet | np.ndarray, labels=None,
@@ -342,7 +431,10 @@ def tree_fit(features: DiffFeatureSet | np.ndarray, labels=None,
         x = x[:, None]
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    return DecisionTree(_grow(x, y.astype(np.int64), 0, max_depth),
+    y = y.astype(np.int64)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 (rest) or 1 (unlearn)")
+    return DecisionTree(_grow(x, np.arange(len(x)), y, 0, max_depth),
                         max_depth, x.shape[1])
 
 
@@ -354,12 +446,19 @@ def tree_predict(tree: DecisionTree, vectors) -> np.ndarray:
     if x.shape[1] != tree.n_features:
         raise ValueError(f"expected {tree.n_features} features, got {x.shape[1]}")
     out = np.empty(len(x), dtype=np.int64)
-    for i, row in enumerate(x):
-        node = tree.root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.label
+    _route(tree.root, x, np.arange(len(x)), out)
     return out[0] if single else out
+
+
+def _route(node: TreeNode, x: np.ndarray, rows: np.ndarray,
+           out: np.ndarray) -> None:
+    """Send ``rows`` of ``x`` down from ``node``; leaves write ``out``."""
+    if node.is_leaf:
+        out[rows] = node.label
+        return
+    go_left = x[rows, node.feature] <= node.threshold
+    _route(node.left, x, rows[go_left], out)
+    _route(node.right, x, rows[~go_left], out)
 
 
 def infer_forgotten(row_labels, class_ids) -> frozenset:
@@ -388,6 +487,12 @@ def _candidate_subsets(dataset: LabeledDataset, task: ForgetTask,
             if s.class_id in task.forget_classes else s for s in subsets]
 
 
+def _default_aux(target: ModelArtifact, dataset: LabeledDataset,
+                 task: ForgetTask, seed: int, k: int, m_models: int) -> list:
+    subsets = _candidate_subsets(dataset, task, k, m_models, seed)
+    return train_aux_models(target, subsets, aux_config(seed))
+
+
 def param_dot_attack(target: ModelArtifact, dataset: LabeledDataset,
                      task: ForgetTask, seed: int, screen: str = "youden",
                      k: int = DEFAULT_SUBSET_SIZE,
@@ -403,8 +508,7 @@ def param_dot_attack(target: ModelArtifact, dataset: LabeledDataset,
     if screen not in ("youden", "kmeans"):
         raise ValueError(f"unknown screen {screen!r}")
     if aux is None:
-        subsets = _candidate_subsets(dataset, task, k, m_models, seed)
-        aux = train_aux_models(target, subsets, aux_config(seed))
+        aux = _default_aux(target, dataset, task, seed, k, m_models)
     feats = dot_features(head_vector(target), aux, cosine=cosine)
     if screen == "youden":
         cut = youden_threshold(feats.values, feats.labels)
@@ -429,9 +533,9 @@ def param_diff_attack(target: ModelArtifact, dataset: LabeledDataset,
                       aux: list | None = None) -> ParamAttackResult:
     """Difference-vector attack classified by a depth-capped CART tree."""
     if aux is None:
-        subsets = _candidate_subsets(dataset, task, k, m_models, seed)
-        aux = train_aux_models(target, subsets, aux_config(seed))
+        aux = _default_aux(target, dataset, task, seed, k, m_models)
     feats = diff_features(head_vector(target), aux)
+    del aux  # only the features are read from here on; free the heads
     tree = tree_fit(feats, max_depth=max_depth)
     row_pred = tree_predict(tree, feats.vectors)
     train_acc = float((row_pred == feats.labels).mean())

@@ -154,7 +154,7 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
 
     tf = model.trainable_from
     if tf > 0:
-        feats = _features(model, dataset.x, tf)
+        feats = frozen_features(model, dataset.x, tf)
         live_layers = model.layers[tf:]
         live_params = copy_params(model.params[tf:])
         inputs = feats
@@ -223,8 +223,9 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
     return TrainResult(out, audit=audit, epoch_losses=epoch_losses, ledger=ledger)
 
 
-def _features(model: ModelArtifact, x: np.ndarray, boundary: int,
-              chunk: int = 512) -> np.ndarray:
+def frozen_features(model: ModelArtifact, x: np.ndarray, boundary: int,
+                    chunk: int = 512) -> np.ndarray:
+    """Output of layers ``[:boundary]`` on ``x``, in chunks of rows."""
     outs = [ad.forward(model.layers[:boundary], model.params[:boundary],
                        x[i:i + chunk]).data
             for i in range(0, x.shape[0], chunk)]

@@ -305,6 +305,33 @@ def test_bb_is_deterministic():
     assert a.queries == b.queries
 
 
+def test_bb_non_finite_oracle_raises_inversion_error():
+    def nan_after(n_finite):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            if len(calls) > n_finite:
+                return np.array([np.nan, 0.5, 0.5])
+            return np.full(3, 1.0 / 3)
+        return inv.QueryOracle(fn, input_shape=(4,), n_classes=3)
+
+    cfg = inv.GAConfig(population=4, generations=3, elite=1, seed=0)
+    # a NaN fitness in the initial population, then in a generation
+    for n_finite in (0, 5):
+        with pytest.raises(inv.InversionError, match="fitness nan"):
+            inv.invert_blackbox(nan_after(n_finite), 0, cfg)
+    # budget 1: the only query is the readout
+    with pytest.raises(inv.InversionError, match="readout"):
+        inv.invert_blackbox(nan_after(0), 1,
+                            inv.GAConfig(population=4, query_budget=1))
+    inf_oracle = inv.QueryOracle(lambda x: np.array([np.inf, 0.0]),
+                                 input_shape=(4,), n_classes=2)
+    with pytest.raises(inv.InversionError, match="fitness inf"):
+        inv.invert_blackbox(inf_oracle, 0, cfg)
+    assert issubclass(inv.InversionError, ValueError)
+
+
 def test_bb_requires_an_input_shape():
     oracle = inv.QueryOracle(lambda x: np.ones(3) / 3, n_classes=3)
     with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ import pytest
 from ulklab import param_attack as pa
 from ulklab.data import (REST_CANDIDATE, UNLEARN_CANDIDATE, ClassSubset,
                          LabeledDataset, per_class_subsets)
-from ulklab.models import ParameterVector, head_vector
-from ulklab.training import train
+from ulklab.models import (ParameterVector, clone_frozen_head_template,
+                           head_vector)
+from ulklab.training import TrainConfig, train
 
 import brute
 
@@ -154,11 +155,26 @@ def test_kmeans_property_matches_exhaustive_oracle():
 
 def test_stump_split_matches_brute_oracle():
     rng = np.random.default_rng(504)
+    cases = []
     for _ in range(120):
         n = int(rng.integers(4, 51))
         d = int(rng.integers(1, 5))
-        x = np.round(rng.normal(size=(n, d)), 2)
-        y = rng.integers(0, 2, size=n)
+        cases.append((np.round(rng.normal(size=(n, d)), 2),
+                      rng.integers(0, 2, size=n)))
+    # many ties: few distinct values, a constant column, a column copied
+    # across the SPLIT_BLOCK boundary, n = 2
+    for _ in range(60):
+        n = int(rng.integers(2, 41))
+        d = int(rng.choice([1, 3, 63, 64, 65, 130]))
+        x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        x[:, rng.integers(0, d)] = 1.5
+        if d > pa.SPLIT_BLOCK:
+            x[:, -1] = x[:, 2]
+        cases.append((x, rng.integers(0, 2, size=n)))
+    x = np.full((2, 130), 4.0)
+    x[:, 100] = (1.0, 0.0)
+    cases.append((x, np.array([1, 0])))
+    for x, y in cases:
         if y.min() == y.max():
             y[0] = 1 - y[0]
         tree = pa.tree_fit(x, y, max_depth=1)
@@ -169,6 +185,19 @@ def test_stump_split_matches_brute_oracle():
             node = tree.root
             assert (node.feature, node.threshold) in argmax
             assert (node.feature, node.threshold) == min(argmax)
+
+
+def test_tree_predict_matches_row_walk():
+    rng = np.random.default_rng(508)
+    x = np.round(rng.normal(size=(60, 5)), 1)
+    y = (x[:, 0] + x[:, 3] > 0).astype(np.int64)
+    tree = pa.tree_fit(x, y, max_depth=4)
+    for row, got in zip(x, pa.tree_predict(tree, x)):
+        node = tree.root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold \
+                else node.right
+        assert got == node.label
 
 
 def test_tree_linearly_separable_is_stump():
@@ -224,6 +253,8 @@ def test_tree_predict_shape_checks():
     with pytest.raises(ValueError, match="features"):
         pa.tree_predict(tree, np.zeros((2, 3)))
     assert pa.tree_predict(tree, np.array([0.2])) == 0
+    with pytest.raises(ValueError, match="labels"):
+        pa.tree_fit(np.array([[0.0], [1.0]]), np.array([0, 2]))
 
 
 def test_infer_forgotten_majority_and_tie():
@@ -250,8 +281,8 @@ def test_aux_model_features_bit_frozen(bundles):
     bundle = bundles(0)
     target = bundle.unlearned("rt").artifact
     sub = per_class_subsets(bundle.dataset, k=10, m_models=1, seed=7)[0]
-    template = pa.clone_frozen_head_template(target, 7, class_id=sub.class_id,
-                                             index=0)
+    template = clone_frozen_head_template(target, 7, class_id=sub.class_id,
+                                          index=0)
     y = np.full(len(sub.x), sub.class_id, dtype=np.int64)
     ds = LabeledDataset(sub.x, y, n_classes=10, split="aux", filtered=True)
     trained = train(template, ds, pa.aux_config(7, epochs=4)).model
@@ -266,8 +297,8 @@ def test_aux_model_learns_its_class(bundles):
     subsets = per_class_subsets(bundle.dataset, k=20, m_models=1, seed=11)
     aux_cfg = pa.aux_config(11)
     for sub in (subsets[2], subsets[8]):
-        template = pa.clone_frozen_head_template(target, 11,
-                                                 class_id=sub.class_id, index=0)
+        template = clone_frozen_head_template(target, 11,
+                                              class_id=sub.class_id, index=0)
         y = np.full(len(sub.x), sub.class_id, dtype=np.int64)
         ds = LabeledDataset(sub.x, y, n_classes=10,
                             split="aux", filtered=True)
@@ -282,6 +313,40 @@ def test_train_aux_models_rejects_empty_subset(bundles):
     empty = ClassSubset(class_id=0, x=np.empty((0, 32)))
     with pytest.raises(ValueError, match="empty"):
         pa.train_aux_models(target, [empty], pa.aux_config(0))
+    full = per_class_subsets(bundle.dataset, k=10, m_models=1, seed=7)[0]
+    with pytest.raises(ValueError, match="empty"):
+        pa.train_aux_models(target, [full, empty], pa.aux_config(0))
+    with pytest.raises(ValueError, match="outside"):
+        pa.train_aux_models(target, [ClassSubset(class_id=10, x=full.x)],
+                            pa.aux_config(0))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "sgd-momentum"])
+@pytest.mark.parametrize("k", [10, 20, 25])
+def test_train_aux_models_matches_per_head_training(bundles, k, optimizer):
+    # the lockstep heads must equal, bit for bit, each clone trained alone;
+    # k = 25 at batch size 20 leaves a partial last batch
+    bundle = bundles(0)
+    target = bundle.unlearned("ng").artifact
+    subsets = pa._candidate_subsets(bundle.dataset, bundle.task, k, 2, 3)
+    subsets = subsets[1::2] + subsets[::2]
+    cfg = TrainConfig(epochs=4, lr=0.1, batch_size=20, seed=3,
+                      optimizer=optimizer)
+    got = pa.train_aux_models(target, subsets, cfg)
+    assert len(got) == len(subsets)
+    seen: dict = {}
+    for sub, head in zip(subsets, got):
+        idx = seen.setdefault(sub.class_id, 0)
+        seen[sub.class_id] += 1
+        template = clone_frozen_head_template(target, cfg.seed,
+                                              class_id=sub.class_id, index=idx)
+        ds = LabeledDataset(sub.x, np.full(k, sub.class_id), n_classes=10,
+                            split="aux", filtered=True)
+        want = head_vector(train(template, ds, cfg).model)
+        assert head.vector.values.tobytes() == want.values.tobytes()
+        assert head.vector.source == want.source
+        assert (head.class_id, head.aux_id, head.role) == \
+            (sub.class_id, idx, sub.role)
 
 
 def test_dot_separation_on_benchmark(bundles):
