@@ -1,541 +1,300 @@
-"""Minimal dense-tensor engine with reverse-mode differentiation.
+"""Sequential layer stack with reverse-mode gradients, in 64-bit floats.
 
-Supplies parameter gradients for training and input gradients for
-inversion. Everything runs in 64-bit floats on contiguous row-major
-buffers; the supported layer set is fixed (dense, 3x3-style 2-D
-convolution with stride 1, ReLU, 2x2 max-pool, flatten) which is enough
-for an MLP and a LeNet-scale CNN.
-
-The autodiff graph is recorded implicitly: every operation attaches its
-saved activations and a backward closure to the output tensor, and
-``Tensor.backward`` replays closures in reverse topological order.
-Forward computation is pure numpy on a single thread, so replaying with
-identical inputs reproduces activations bit-identically.
+Dense, stride-1 2-D convolution, ReLU, 2x2 max-pool and flatten layers
+cover an MLP and a LeNet-scale CNN. Each layer has ``forward(p, x, i) ->
+(out, cache)`` and ``backward(p, cache, g, grads, need_dx)``, which fills
+``grads`` (when not None) with its parameter gradients and returns
+d(loss)/d(x) when ``need_dx``. ``forward`` runs the stack once and keeps
+every cache; ``Tensor.backward`` walks it in reverse. A single MLP sample
+stays 1-D (matrix-vector products), batches use matrix products, and
+replays are bit-identical (single-threaded numpy).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "Tensor",
-    "ShapeMismatch",
-    "Dense",
-    "Relu",
-    "Conv2D",
-    "MaxPool2",
-    "Flatten",
-    "GradientBundle",
-    "dense",
-    "relu",
-    "conv2d",
-    "maxpool2",
-    "flatten",
-    "softmax",
-    "softmax_cross_entropy",
-    "l2_penalty",
-    "tv_penalty",
-    "forward",
-    "loss_total",
-    "grad_input",
-    "grad_params",
-    "apply_update",
-]
 
 
 class ShapeMismatch(ValueError):
     """Input/parameter shapes disagree; message names the offending layer."""
 
 
-class Tensor:
-    """Dense 64-bit float tensor, optionally tracking gradients.
-
-    ``check=True`` (the default for user-facing construction) rejects
-    NaN/Inf at construction; internal op results skip the scan and
-    non-finite values are handled by the consumers that can produce them
-    (diverged inversion runs).
-    """
-
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
-
-    def __init__(self, data, requires_grad: bool = False, check: bool = True):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
-        if check and not np.all(np.isfinite(arr)):
-            raise ValueError("tensor rejected: non-finite entries")
-        self.data = arr
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward_fn = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    def backward(self) -> None:
-        """Backpropagate from this (scalar) tensor through the graph."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar tensor")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-
-    def item(self) -> float:
-        return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return _add(self, other)
-
-    def __mul__(self, scalar: float) -> "Tensor":
-        return _scale(self, float(scalar))
-
-    __rmul__ = __mul__
-
-
-def _result(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    out = Tensor(data, check=False)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents)
-        out._backward_fn = backward_fn
-    return out
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-# ---------------------------------------------------------------------------
-# primitive ops
-
-
-def _add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _result(data, (a, b), backward)
-
-
-def _scale(a: Tensor, c: float) -> Tensor:
-    data = a.data * c
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * c)
-
-    return _result(data, (a,), backward)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g over axes that were broadcast to reach its shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor, layer_name: str = "dense") -> Tensor:
-    """x @ w + b with x of shape (..., in_dim)."""
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeMismatch(
-            f"{layer_name}: input width {x.data.shape[-1]} != weight rows {w.data.shape[0]}"
-        )
-    data = x.data @ w.data + b.data
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            if x.data.ndim == 1:
-                w._accumulate(np.outer(x.data, g))
-            else:
-                xm = x.data.reshape(-1, x.data.shape[-1])
-                gm = g.reshape(-1, g.shape[-1])
-                w._accumulate(xm.T @ gm)
-        if b.requires_grad:
-            b._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-
-    return _result(data, (x, w, b), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    data = np.where(mask, x.data, 0.0)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * mask)
-
-    return _result(data, (x,), backward)
-
-
-def conv2d(x: Tensor, k: Tensor, b: Tensor, padding: str = "valid",
-           layer_name: str = "conv2d") -> Tensor:
-    """Stride-1 2-D convolution; x (N,H,W,C), k (kh,kw,Cin,Cout), b (Cout,)."""
-    if x.data.ndim != 4:
-        raise ShapeMismatch(f"{layer_name}: expected NHWC input, got shape {x.data.shape}")
-    kh, kw, cin, cout = k.data.shape
-    if x.data.shape[3] != cin:
-        raise ShapeMismatch(
-            f"{layer_name}: input channels {x.data.shape[3]} != kernel channels {cin}"
-        )
-    if padding == "same":
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        xp = np.pad(x.data, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw), (0, 0)))
-    elif padding == "valid":
-        xp = x.data
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    n, hp, wp, _ = xp.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeMismatch(f"{layer_name}: kernel {kh}x{kw} larger than input {hp}x{wp}")
-    out = np.broadcast_to(b.data, (n, ho, wo, cout)).copy()
-    for i in range(kh):
-        for j in range(kw):
-            out += np.tensordot(xp[:, i:i + ho, j:j + wo, :], k.data[i, j], axes=([3], [0]))
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + ho, j:j + wo, :] += np.tensordot(
-                        g, k.data[i, j], axes=([3], [1]))
-            if padding == "same":
-                dxp = dxp[:, ph:ph + x.data.shape[1], pw:pw + x.data.shape[2], :]
-            x._accumulate(dxp)
-        if k.requires_grad:
-            dk = np.zeros_like(k.data)
-            for i in range(kh):
-                for j in range(kw):
-                    dk[i, j] = np.tensordot(
-                        xp[:, i:i + ho, j:j + wo, :], g, axes=([0, 1, 2], [0, 1, 2]))
-            k._accumulate(dk)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 1, 2)))
-
-    return _result(out, (x, k, b), backward)
-
-
-def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max-pool, stride 2; odd trailing rows/cols dropped.
-
-    Ties within a window route the gradient to the first position in
-    row-major window order, keeping backward deterministic.
-    """
-    if x.data.ndim != 4:
-        raise ShapeMismatch(f"maxpool2: expected NHWC input, got shape {x.data.shape}")
-    n, h, w, c = x.data.shape
-    h2, w2 = h // 2, w // 2
-    win = x.data[:, :h2 * 2, :w2 * 2, :].reshape(n, h2, 2, w2, 2, c)
-    win = win.transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
-    idx = win.argmax(axis=3)
-    data = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            dwin = np.zeros((n, h2, w2, 4, c))
-            np.put_along_axis(dwin, idx[:, :, :, None, :], g[:, :, :, None, :], axis=3)
-            dx = np.zeros_like(x.data)
-            dwin = dwin.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-            dx[:, :h2 * 2, :w2 * 2, :] = dwin.reshape(n, h2 * 2, w2 * 2, c)
-            x._accumulate(dx)
-
-    return _result(data, (x,), backward)
-
-
-def flatten(x: Tensor) -> Tensor:
-    if x.data.ndim < 2:
-        raise ShapeMismatch(f"flatten: expected batched input, got shape {x.data.shape}")
-    n = x.data.shape[0]
-    data = x.data.reshape(n, -1)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.data.shape))
-
-    return _result(data, (x,), backward)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis (plain numpy)."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray,
-                          reduction: str = "mean") -> Tensor:
-    """Fused softmax + cross-entropy (log-sum-exp with max subtraction).
-
-    ``labels`` are integer class ids, shape () for a single sample or (N,)
-    for a batch of row logits.
-    """
-    z = logits.data
-    y = np.asarray(labels)
-    t = z.shape[-1]
-    if np.any(y < 0) or np.any(y >= t):
-        raise ValueError(f"class index out of range [0,{t}): {y}")
-    if z.ndim == 1:
-        zb, yb = z[None, :], y.reshape(1)
-    else:
-        zb, yb = z, y.reshape(-1)
-    m = zb.max(axis=1, keepdims=True)
-    shifted = zb - m
-    lse = np.log(np.exp(shifted).sum(axis=1)) + m[:, 0]
-    per_sample = lse - zb[np.arange(zb.shape[0]), yb]
-    n = zb.shape[0]
-    if reduction == "mean":
-        data = per_sample.mean()
-    elif reduction == "sum":
-        data = per_sample.sum()
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-
-    def backward(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            p = softmax(zb)
-            p[np.arange(n), yb] -= 1.0
-            if reduction == "mean":
-                p /= n
-            dz = p * g
-            logits._accumulate(dz.reshape(z.shape))
-
-    return _result(np.asarray(data), (logits,), backward)
-
-
-def l2_penalty(x: Tensor) -> Tensor:
-    """Sum of squared entries."""
-    data = np.asarray((x.data ** 2).sum())
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(2.0 * x.data * g)
-
-    return _result(data, (x,), backward)
-
-
-def tv_penalty(x: Tensor) -> Tensor:
-    """Anisotropic squared-difference total variation.
-
-    Sum over horizontal and vertical neighbor pairs per channel, on
-    (H,W,C) or (N,H,W,C) inputs. Zero iff the image is constant per
-    channel (per batch element).
-    """
-    if x.data.ndim == 3:
-        xb = x.data[None]
-    elif x.data.ndim == 4:
-        xb = x.data
-    else:
-        raise ShapeMismatch(f"tv_penalty: expected (H,W,C) or (N,H,W,C), got {x.data.shape}")
-    dh = xb[:, 1:, :, :] - xb[:, :-1, :, :]
-    dw = xb[:, :, 1:, :] - xb[:, :, :-1, :]
-    data = np.asarray((dh ** 2).sum() + (dw ** 2).sum())
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            dx = np.zeros_like(xb)
-            dx[:, 1:, :, :] += 2.0 * dh
-            dx[:, :-1, :, :] -= 2.0 * dh
-            dx[:, :, 1:, :] += 2.0 * dw
-            dx[:, :, :-1, :] -= 2.0 * dw
-            x._accumulate((dx * g).reshape(x.data.shape))
-
-    return _result(data, (x,), backward)
-
-
-# ---------------------------------------------------------------------------
-# layer stacks
-
-
 @dataclass(frozen=True)
 class Dense:
+    """x @ W + b with x of shape (..., in_dim)."""
+
     in_dim: int
     out_dim: int
-    kind: str = field(default="dense", init=False)
+
+    def forward(self, p, x, i):
+        if x.shape[-1] != p["W"].shape[0]:
+            raise ShapeMismatch(f"layer {i} (dense): input width {x.shape[-1]} "
+                                f"!= weight rows {p['W'].shape[0]}")
+        return x @ p["W"] + p["b"], x
+
+    def backward(self, p, x, g, grads, need_dx):
+        if grads is not None:
+            gm = g.reshape(-1, g.shape[-1])
+            grads["W"] = np.outer(x, g) if x.ndim == 1 else x.reshape(-1, x.shape[-1]).T @ gm
+            grads["b"] = gm.sum(axis=0)
+        return g @ p["W"].T if need_dx else None
 
 
 @dataclass(frozen=True)
 class Relu:
-    kind: str = field(default="relu", init=False)
+    def forward(self, p, x, i):
+        mask = x > 0.0
+        return np.where(mask, x, 0.0), mask
+
+    def backward(self, p, mask, g, grads, need_dx):
+        return g * mask
 
 
 @dataclass(frozen=True)
 class Conv2D:
+    """Stride-1 2-D convolution; x (N,H,W,C), K (kh,kw,Cin,Cout), b (Cout,)."""
+
     kh: int
     kw: int
     in_ch: int
     out_ch: int
     padding: str = "valid"
-    kind: str = field(default="conv2d", init=False)
+
+    def forward(self, p, x, i):
+        kh, kw, cin, cout = p["K"].shape
+        if x.ndim != 4 or x.shape[3] != cin:
+            raise ShapeMismatch(f"layer {i} (conv2d): expected NHWC input with {cin} "
+                                f"channels, got shape {x.shape}")
+        if self.padding not in ("same", "valid"):
+            raise ValueError(f"unknown padding {self.padding!r}")
+        same = self.padding == "same"
+        ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if same else (0, 0)
+        xp = np.pad(x, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw), (0, 0))) if same else x
+        n, hp, wp, _ = xp.shape
+        ho, wo = hp - kh + 1, wp - kw + 1
+        if ho <= 0 or wo <= 0:
+            raise ShapeMismatch(f"layer {i} (conv2d): kernel {kh}x{kw} larger than "
+                                f"input {hp}x{wp}")
+        out = np.broadcast_to(p["b"], (n, ho, wo, cout)).copy()
+        for a, c in np.ndindex(kh, kw):
+            out += np.tensordot(xp[:, a:a + ho, c:c + wo, :], p["K"][a, c], axes=([3], [0]))
+        return out, (xp, x.shape, ph, pw)
+
+    def backward(self, p, cache, g, grads, need_dx):
+        (xp, shape, ph, pw), k = cache, p["K"]
+        ho, wo = g.shape[1:3]
+        if grads is not None:
+            grads["K"] = np.zeros_like(k)
+            for a, c in np.ndindex(k.shape[:2]):
+                grads["K"][a, c] = np.tensordot(xp[:, a:a + ho, c:c + wo, :], g,
+                                                axes=([0, 1, 2], [0, 1, 2]))
+            grads["b"] = g.sum(axis=(0, 1, 2))
+        if not need_dx:
+            return None
+        dxp = np.zeros_like(xp)
+        for a, c in np.ndindex(k.shape[:2]):
+            dxp[:, a:a + ho, c:c + wo, :] += np.tensordot(g, k[a, c], axes=([3], [1]))
+        return dxp[:, ph:ph + shape[1], pw:pw + shape[2], :]
 
 
 @dataclass(frozen=True)
 class MaxPool2:
-    kind: str = field(default="maxpool2", init=False)
+    """2x2 max-pool, stride 2; odd trailing rows/cols dropped. A tie routes
+    the gradient to the first position in row-major window order."""
+
+    def forward(self, p, x, i):
+        if x.ndim != 4:
+            raise ShapeMismatch(f"layer {i} (maxpool2): expected NHWC input, got {x.shape}")
+        n, h, w, c = x.shape
+        win = x[:, :h // 2 * 2, :w // 2 * 2, :].reshape(n, h // 2, 2, w // 2, 2, c)
+        win = win.transpose(0, 1, 3, 2, 4, 5).reshape(n, h // 2, w // 2, 4, c)
+        idx = win.argmax(axis=3)[:, :, :, None, :]
+        return np.take_along_axis(win, idx, axis=3)[:, :, :, 0, :], (idx, x.shape)
+
+    def backward(self, p, cache, g, grads, need_dx):
+        (idx, shape), (n, h2, w2, c) = cache, g.shape
+        dwin = np.zeros((n, h2, w2, 4, c))
+        np.put_along_axis(dwin, idx, g[:, :, :, None, :], axis=3)
+        dx = np.zeros(shape)
+        dwin = dwin.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+        dx[:, :h2 * 2, :w2 * 2, :] = dwin.reshape(n, h2 * 2, w2 * 2, c)
+        return dx
 
 
 @dataclass(frozen=True)
 class Flatten:
-    kind: str = field(default="flatten", init=False)
+    def forward(self, p, x, i):
+        if x.ndim < 2:
+            raise ShapeMismatch(f"layer {i} (flatten): expected batched input, got {x.shape}")
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, p, shape, g, grads, need_dx):
+        return g.reshape(shape)
 
 
-def _sample_ndim(layers) -> int:
-    return 3 if isinstance(layers[0], (Conv2D, MaxPool2, Flatten)) else 1
+class Tensor:
+    """Output of ``forward``: ``data`` plus each layer's cache. A single image
+    gets a batch axis of 1, which the logits and the input gradient drop."""
+
+    __slots__ = ("data", "_layers", "_params", "_caches", "_expand")
+
+    def __init__(self, data, layers, params, caches, expand: bool):
+        self.data, self._layers, self._params = data, layers, params
+        self._caches, self._expand = caches, expand
+
+    def backward(self, g, wrt: str = "input"):
+        """Backpropagate ``g`` = d(loss)/d(data) through the layers in reverse.
+        ``wrt="input"`` returns d(loss)/d(x) shaped like x, ``"params"``
+        per-layer dicts shaped like ``params``, ``"both"`` the pair."""
+        if wrt not in ("input", "params", "both"):
+            raise ValueError(f"wrt must be 'input', 'params' or 'both', got {wrt!r}")
+        grads = None if wrt == "input" else [{} for _ in self._layers]
+        if self._expand and self.data.ndim == 1:
+            g = g[None]
+        for i in range(len(self._layers) - 1, -1, -1):
+            g = self._layers[i].backward(self._params[i], self._caches[i], g,
+                                         grads and grads[i], i > 0 or wrt != "params")
+        if wrt == "params":
+            return grads
+        g = g[0] if self._expand else g
+        return g if grads is None else (g, grads)
 
 
-def forward(layers, params, x, param_tensors=None) -> Tensor:
-    """Run the layer stack on x; returns logits as a Tensor.
+def forward(layers, params, x) -> Tensor:
+    """Run the layer stack on x; the returned Tensor holds the logits.
 
-    ``params`` is a list aligned with ``layers``; parameterized layers hold
-    dicts of numpy arrays ({"W","b"} for dense, {"K","b"} for conv), the
-    rest empty dicts. ``param_tensors``, when given, must mirror that
-    structure with Tensor values (used for parameter gradients).
-    Deterministic for fixed inputs; raises ShapeMismatch naming the layer
-    that rejects its input.
-    """
-    h = x if isinstance(x, Tensor) else Tensor(x)
-    single = h.data.ndim == _sample_ndim(layers)
-    if single and any(isinstance(l, (Conv2D, MaxPool2, Flatten)) for l in layers):
-        h = _result(h.data[None], (h,), lambda g, hh=h: hh._accumulate(g[0])) \
-            if h.requires_grad else Tensor(h.data[None], check=False)
+    ``params`` is aligned with ``layers``: {"W","b"} for dense, {"K","b"}
+    for conv, {} for the rest. A non-finite x raises ValueError; parameters
+    are unchecked, so a diverged model yields non-finite logits."""
+    h = np.ascontiguousarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("tensor rejected: non-finite entries")
+    expand = h.ndim == 3 and isinstance(layers[0], (Conv2D, MaxPool2, Flatten))
+    h = h[None] if expand else h
+    caches = []
     for i, (layer, p) in enumerate(zip(layers, params)):
-        name = f"layer {i} ({layer.kind})"
-        if param_tensors is not None:
-            pt = param_tensors[i]
-        else:
-            pt = {k: Tensor(v, check=False) for k, v in p.items()}
-        if isinstance(layer, Dense):
-            h = dense(h, pt["W"], pt["b"], layer_name=name)
-        elif isinstance(layer, Relu):
-            h = relu(h)
-        elif isinstance(layer, Conv2D):
-            h = conv2d(h, pt["K"], pt["b"], padding=layer.padding, layer_name=name)
-        elif isinstance(layer, MaxPool2):
-            h = maxpool2(h)
-        elif isinstance(layer, Flatten):
-            h = flatten(h)
-        else:
-            raise ValueError(f"unknown layer kind at index {i}: {layer!r}")
-    if single and h.data.ndim == 2:
-        out = h
+        h, cache = layer.forward(p, h, i)
+        caches.append(cache)
+    return Tensor(h[0] if expand and h.ndim == 2 else h, layers, params, caches, expand)
 
-        def squeeze_backward(g: np.ndarray, hh=h) -> None:
-            hh._accumulate(g[None])
 
-        h = _result(out.data[0], (out,), squeeze_backward) \
-            if out.requires_grad else Tensor(out.data[0], check=False)
-    return h
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis (plain numpy)."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _cross_entropy(logits, labels, reduction: str):
+    """(softmax_cross_entropy, its logit gradient softmax - onehot), / N for mean."""
+    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels)
+    if np.any(y < 0) or np.any(y >= z.shape[-1]):
+        raise ValueError(f"class index out of range [0,{z.shape[-1]}): {y}")
+    if reduction not in ("mean", "sum"):
+        raise ValueError(f"unknown reduction {reduction!r}")
+    zb, rows = (z[None, :] if z.ndim == 1 else z), (np.arange(y.size), y.reshape(-1))
+    m = zb.max(axis=1, keepdims=True)
+    per_sample = np.log(np.exp(zb - m).sum(axis=1)) + m[:, 0] - zb[rows]
+    p = softmax(zb)
+    p[rows] -= 1.0
+    if reduction == "sum":
+        return per_sample.sum(), p.reshape(z.shape)
+    p /= len(zb)
+    return per_sample.mean(), p.reshape(z.shape)
+
+
+def softmax_cross_entropy(logits, labels, reduction: str = "mean") -> np.float64:
+    """Fused softmax + cross-entropy (log-sum-exp with max subtraction) of an
+    array or ``forward`` output; ``labels`` has shape () or (N,) for N rows."""
+    return _cross_entropy(logits, labels, reduction)[0]
+
+
+def tv_penalty(x) -> np.float64:
+    """Squared-difference total variation over horizontal and vertical neighbor
+    pairs of (H,W,C) or (N,H,W,C) inputs; zero iff constant per channel."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (3, 4):
+        raise ShapeMismatch(f"tv_penalty: expected (H,W,C) or (N,H,W,C), got {x.shape}")
+    xb = x[None] if x.ndim == 3 else x
+    return (np.diff(xb, axis=1) ** 2).sum() + (np.diff(xb, axis=2) ** 2).sum()
+
+
+def _tv_grad(x: np.ndarray) -> np.ndarray:
+    xb = x[None] if x.ndim == 3 else x
+    dh, dw, dx = np.diff(xb, axis=1), np.diff(xb, axis=2), np.zeros_like(xb)
+    dx[:, 1:, :, :] += 2.0 * dh
+    dx[:, :-1, :, :] -= 2.0 * dh
+    dx[:, :, 1:, :] += 2.0 * dw
+    dx[:, :, :-1, :] -= 2.0 * dw
+    return dx.reshape(x.shape)
 
 
 @dataclass
 class GradientBundle:
-    """Per-layer parameter gradients plus the optional input gradient.
-
-    ``param_grads`` is aligned with the layer list; shapes mirror their
-    parameter targets exactly.
-    """
+    """Per-layer parameter gradients, shaped like the parameters."""
 
     param_grads: list
-    input_grad: np.ndarray | None = None
+
+
+def _objective(layers, params, x, y_target, lam_l2, lam_tv):
+    """loss_total, the forward output, d(CE)/d(logits) and x as floats."""
+    if lam_l2 < 0 or lam_tv < 0:
+        raise ValueError("regularization weights must be non-negative")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = forward(layers, params, x)
+    loss, dz = _cross_entropy(out.data, y_target, "sum")
+    if lam_l2 > 0.0:
+        loss = loss + (x ** 2).sum() * lam_l2
+    if lam_tv > 0.0:
+        loss = loss + tv_penalty(x) * lam_tv
+    return loss, out, dz, x
 
 
 def loss_total(layers, params, x, y_target: int, lam_l2: float = 0.0,
-               lam_tv: float = 0.0, x_tensor: Tensor | None = None) -> Tensor:
+               lam_tv: float = 0.0) -> np.float64:
     """CE(M(x), y_target) + lam_l2*||x||^2 + lam_tv*TV(x) for one sample."""
-    if lam_l2 < 0 or lam_tv < 0:
-        raise ValueError("regularization weights must be non-negative")
-    xt = x_tensor if x_tensor is not None else _as_tensor(x)
-    logits = forward(layers, params, xt)
-    loss = softmax_cross_entropy(logits, np.asarray(y_target), reduction="sum")
+    return _objective(layers, params, x, y_target, lam_l2, lam_tv)[0]
+
+
+def loss_and_grad_input(layers, params, x, y_target: int, lam_l2: float = 0.0,
+                        lam_tv: float = 0.0) -> tuple[float, np.ndarray]:
+    """``loss_total`` and its gradient w.r.t. x from one forward pass."""
+    loss, out, dz, x = _objective(layers, params, x, y_target, lam_l2, lam_tv)
+    g = out.backward(dz)
     if lam_l2 > 0.0:
-        loss = loss + lam_l2 * l2_penalty(xt)
+        g = g + 2.0 * x * lam_l2
     if lam_tv > 0.0:
-        loss = loss + lam_tv * tv_penalty(xt)
-    return loss
+        g = g + _tv_grad(x) * lam_tv
+    return loss.item(), g
 
 
 def grad_input(layers, params, x, y_target: int, lam_l2: float = 0.0,
                lam_tv: float = 0.0) -> np.ndarray:
     """Gradient of loss_total w.r.t. the input, same shape as x."""
-    xt = Tensor(x, requires_grad=True)
-    loss = loss_total(layers, params, x, y_target, lam_l2, lam_tv, x_tensor=xt)
-    loss.backward()
-    return xt.grad
+    return loss_and_grad_input(layers, params, x, y_target, lam_l2, lam_tv)[1]
 
 
 def grad_params(layers, params, batch_x, batch_y, reduction: str = "mean"
                 ) -> tuple[GradientBundle, float]:
     """Mean-CE gradient over a batch w.r.t. every layer parameter."""
-    tensors = [{k: Tensor(v, requires_grad=True, check=False) for k, v in p.items()}
-               for p in params]
-    logits = forward(layers, params, batch_x, param_tensors=tensors)
-    loss = softmax_cross_entropy(logits, batch_y, reduction=reduction)
-    loss.backward()
-    grads = [{k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-              for k, t in pt.items()} for pt in tensors]
-    return GradientBundle(param_grads=grads), loss.item()
+    out = forward(layers, params, batch_x)
+    loss, dz = _cross_entropy(out.data, batch_y, reduction)
+    return GradientBundle(param_grads=out.backward(dz, wrt="params")), loss.item()
 
 
 def apply_update(params, grads, lr: float, direction: str = "descent"):
-    """Elementwise SGD step; returns (new_params, deltas).
-
-    descent: w - lr*g; ascent: w + lr*g. The per-layer deltas are what
-    amnesiac-style ledgers record.
-    """
+    """Elementwise SGD step; returns (new_params, deltas). descent: w - lr*g;
+    ascent: w + lr*g. The per-layer deltas are what amnesiac ledgers record."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
-    if direction == "descent":
-        sign = -1.0
-    elif direction == "ascent":
-        sign = 1.0
-    else:
+    if direction not in ("descent", "ascent"):
         raise ValueError(f"direction must be 'descent' or 'ascent', got {direction!r}")
-    new_params, deltas = [], []
     for p, g in zip(params, grads):
-        if set(p) != set(g):
-            raise ShapeMismatch(f"update keys {sorted(g)} != param keys {sorted(p)}")
-        layer_new, layer_delta = {}, {}
-        for k, w in p.items():
-            if g[k].shape != w.shape:
-                raise ShapeMismatch(f"update shape {g[k].shape} != param shape {w.shape}")
-            d = sign * lr * g[k]
-            layer_delta[k] = d
-            layer_new[k] = w + d
-        new_params.append(layer_new)
-        deltas.append(layer_delta)
-    return new_params, deltas
+        if set(p) != set(g) or any(g[k].shape != w.shape for k, w in p.items()):
+            raise ShapeMismatch(f"update shapes { {k: v.shape for k, v in g.items()} } "
+                                f"!= param shapes { {k: v.shape for k, v in p.items()} }")
+    step = (-1.0 if direction == "descent" else 1.0) * lr
+    deltas = [{k: step * g[k] for k in p} for p, g in zip(params, grads)]
+    return [{k: w + d[k] for k, w in p.items()} for p, d in zip(params, deltas)], deltas

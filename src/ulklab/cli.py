@@ -19,21 +19,10 @@ from . import param_attack as pa
 from . import reports as rep
 from . import screening as scr
 from .data import ForgetTask, gen_blobs, load_dataset, save_dataset
-from .harness import run_experiment
+from .harness import parse_ids, run_experiment
 from .models import load_checkpoint, mlp_spec, save_checkpoint, build
 from .training import TrainConfig, train
 from .unlearning import METHODS, run_method, train_with_ledger
-
-
-def _parse_forget(text: str) -> frozenset:
-    try:
-        ids = frozenset(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"--forget expects comma-joined class ids, "
-                         f"got {text!r}") from None
-    if not ids:
-        raise ValueError("--forget cannot be empty")
-    return ids
 
 
 def _load_pair(model_path: str, data_path: str):
@@ -84,7 +73,7 @@ def cmd_train(args) -> int:
 
 def cmd_unlearn(args) -> int:
     dataset = load_dataset(args.data)
-    forget = _parse_forget(args.forget)
+    forget = frozenset(parse_ids(args.forget, "--forget"))
     task = ForgetTask(forget, dataset_id=dataset.split)
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr,
                       batch_size=args.batch_size, seed=args.seed)
@@ -114,7 +103,7 @@ def cmd_unlearn(args) -> int:
 
 def cmd_attack_param(args) -> int:
     model, dataset = _load_pair(args.model, args.data)
-    forget = _parse_forget(args.forget)
+    forget = frozenset(parse_ids(args.forget, "--forget"))
     task = ForgetTask(forget, dataset_id=dataset.split)
     if args.kind == "param-dot":
         res = pa.param_dot_attack(model, dataset, task, args.seed,

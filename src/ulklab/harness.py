@@ -65,15 +65,14 @@ def parse_config(pairs) -> dict:
     return out
 
 
-def _parse_ids(text: str, what: str) -> tuple:
+def parse_ids(text: str, what: str) -> tuple:
+    """Sorted unique integers from "a,b,c"; errors name ``what`` (the config
+    key or CLI flag). An empty string fails too, as its one token is ""."""
     try:
-        ids = tuple(sorted({int(tok) for tok in text.split(",")}))
+        return tuple(sorted({int(tok) for tok in text.split(",")}))
     except ValueError:
         raise ValueError(f"{what} must be comma-joined integers, "
                          f"got {text!r}") from None
-    if not ids:
-        raise ValueError(f"{what} cannot be empty")
-    return ids
 
 
 def resolve_config(overrides=None, env=None) -> dict:
@@ -106,8 +105,8 @@ def resolve_config(overrides=None, env=None) -> dict:
         raise ValueError(
             f"criterion {cfg['screen.criterion']!r} does not apply to "
             f"{cfg['attack']}; choose from {CRITERIA[cfg['attack']]}")
-    _parse_ids(cfg["unlearn.forget"], "unlearn.forget")
-    _parse_ids(cfg["seeds"], "seeds")
+    parse_ids(cfg["unlearn.forget"], "unlearn.forget")
+    parse_ids(cfg["seeds"], "seeds")
     float(cfg["screen.alpha"])
     if int(cfg["attack.budget"]) < 0:
         raise ValueError("attack.budget cannot be negative")
@@ -190,13 +189,12 @@ def run_experiment(overrides=None, out_root: str = ".",
     cache = cache or BundleCache()
     methods = METHODS if cfg["unlearn.method"] == "all" \
         else (cfg["unlearn.method"],)
-    seeds = _parse_ids(cfg["seeds"], "seeds")
+    seeds = parse_ids(cfg["seeds"], "seeds")
     max_sweep = int(cfg["sweep.max_forget"])
     if max_sweep:
         forget_sets = [frozenset(range(n)) for n in range(1, max_sweep + 1)]
     else:
-        forget_sets = [frozenset(_parse_ids(cfg["unlearn.forget"],
-                                            "unlearn.forget"))]
+        forget_sets = [frozenset(parse_ids(cfg["unlearn.forget"], "unlearn.forget"))]
 
     run_dir = os.path.join(out_root, f"run-{h}")
     os.makedirs(run_dir, exist_ok=True)

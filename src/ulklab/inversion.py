@@ -211,16 +211,13 @@ def wb_descend(model: ModelArtifact, target: int, x0: np.ndarray,
         x = np.clip(x, *cfg.box)
     initial = None
     for _ in range(cfg.iterations):
-        xt = ad.Tensor(x, requires_grad=True)
-        loss = ad.loss_total(layers, params, x, target, cfg.lam_l2,
-                             cfg.lam_tv, x_tensor=xt)
-        value = loss.item()
+        value, grad = ad.loss_and_grad_input(layers, params, x, target,
+                                             cfg.lam_l2, cfg.lam_tv)
         if initial is None:
             initial = value
         if not np.isfinite(value):
             return x, initial, value, False
-        loss.backward()
-        x = x - cfg.lr * xt.grad
+        x = x - cfg.lr * grad
         if cfg.box is not None:
             x = np.clip(x, *cfg.box)
     final = ad.loss_total(layers, params, x, target, cfg.lam_l2,

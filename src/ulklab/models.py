@@ -151,6 +151,13 @@ def copy_params(params):
     return [{k: v.copy() for k, v in p.items()} for p in params]
 
 
+def chunked_forward(layers, params, x: np.ndarray, chunk: int = 512) -> np.ndarray:
+    """The stack's output on a batch ``x``, run ``chunk`` rows at a time."""
+    outs = [ad.forward(layers, params, x[i:i + chunk]).data
+            for i in range(0, x.shape[0], chunk)]
+    return np.concatenate(outs, axis=0)
+
+
 @dataclass
 class ModelArtifact:
     """A spec plus concrete parameters and where they came from.
@@ -182,9 +189,7 @@ class ModelArtifact:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == len(self.spec.input_shape):
             return ad.forward(self.layers, self.params, x).data
-        outs = [ad.forward(self.layers, self.params, x[i:i + chunk]).data
-                for i in range(0, x.shape[0], chunk)]
-        return np.concatenate(outs, axis=0)
+        return chunked_forward(self.layers, self.params, x, chunk)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return ad.softmax(self.logits(x))

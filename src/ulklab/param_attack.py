@@ -52,6 +52,15 @@ class AuxHead:
     role: str
 
 
+def _check_feature_columns(fs) -> None:
+    """The rows of a feature set and its label/class/aux columns align, and
+    every label is 0 (rest) or 1 (unlearn)."""
+    if not (len(fs.labels) == len(fs.class_ids) == len(fs.aux_ids) == len(fs)):
+        raise ValueError("feature columns must share one length")
+    if not np.isin(fs.labels, (0, 1)).all():
+        raise ValueError("labels must be 0 (rest) or 1 (unlearn)")
+
+
 @dataclass(frozen=True)
 class DotFeatureSet:
     values: np.ndarray
@@ -60,11 +69,7 @@ class DotFeatureSet:
     aux_ids: np.ndarray
 
     def __post_init__(self):
-        n = len(self.values)
-        if not (len(self.labels) == len(self.class_ids) == len(self.aux_ids) == n):
-            raise ValueError("feature columns must share one length")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be 0 (rest) or 1 (unlearn)")
+        _check_feature_columns(self)
 
     def __len__(self):
         return len(self.values)
@@ -80,11 +85,7 @@ class DiffFeatureSet:
     def __post_init__(self):
         if self.vectors.ndim != 2:
             raise ValueError("diff vectors must form a 2-D matrix")
-        n = len(self.vectors)
-        if not (len(self.labels) == len(self.class_ids) == len(self.aux_ids) == n):
-            raise ValueError("feature columns must share one length")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be 0 (rest) or 1 (unlearn)")
+        _check_feature_columns(self)
 
     def __len__(self):
         return len(self.vectors)

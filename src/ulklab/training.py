@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng as rngmod
 from .data import LabeledDataset
-from .models import ModelArtifact, copy_params
+from .models import ModelArtifact, chunked_forward, copy_params
 
 OPTIMIZERS = ("sgd", "sgd-momentum")
 
@@ -223,13 +223,9 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
     return TrainResult(out, audit=audit, epoch_losses=epoch_losses, ledger=ledger)
 
 
-def frozen_features(model: ModelArtifact, x: np.ndarray, boundary: int,
-                    chunk: int = 512) -> np.ndarray:
-    """Output of layers ``[:boundary]`` on ``x``, in chunks of rows."""
-    outs = [ad.forward(model.layers[:boundary], model.params[:boundary],
-                       x[i:i + chunk]).data
-            for i in range(0, x.shape[0], chunk)]
-    return np.concatenate(outs, axis=0)
+def frozen_features(model: ModelArtifact, x: np.ndarray, boundary: int) -> np.ndarray:
+    """Output of layers ``[:boundary]`` on ``x``."""
+    return chunked_forward(model.layers[:boundary], model.params[:boundary], x)
 
 
 def class_accuracy(model: ModelArtifact, dataset: LabeledDataset,

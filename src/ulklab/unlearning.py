@@ -148,17 +148,24 @@ def train_with_ledger(spec: ModelSpec, dataset: LabeledDataset,
                  provenance={"role": "original", "seed": cfg.seed})
 
 
+def _subtract_ledger(model: ModelArtifact, ledger: UpdateLedger,
+                     only_flagged: bool | None = None) -> list:
+    """A copy of the model's parameters minus ``ledger.summed_deltas``
+    (every batch by default), after checking the ledger describes it."""
+    if params_hash(model.params) != ledger.final_hash:
+        raise LedgerMismatch("ledger final-parameter hash does not match the model")
+    params = copy_params(model.params)
+    for layer_params, layer_delta in zip(params, ledger.summed_deltas(only_flagged)):
+        for k, v in layer_delta.items():
+            layer_params[k] -= v
+    return params
+
+
 def amnesiac(model: ModelArtifact, ledger: UpdateLedger, task: ForgetTask,
              cfg: TrainConfig) -> UnlearnedModel:
     """Subtract the summed deltas of every flagged batch."""
-    if params_hash(model.params) != ledger.final_hash:
-        raise LedgerMismatch("ledger final-parameter hash does not match the model")
-    flagged = ledger.summed_deltas(only_flagged=True)
-    params = copy_params(model.params)
+    params = _subtract_ledger(model, ledger, only_flagged=True)
     n_flagged = sum(1 for e in ledger.entries if e.contains_forget)
-    for layer_params, layer_delta in zip(params, flagged):
-        for k, v in layer_delta.items():
-            layer_params[k] -= v
     prov = {"role": "unlearned", "method": "au", "seed": cfg.seed}
     return UnlearnedModel(model.with_params(params, prov), "au",
                           unlearn_config_hash("au", task, cfg),
@@ -168,14 +175,7 @@ def amnesiac(model: ModelArtifact, ledger: UpdateLedger, task: ForgetTask,
 
 def rollback_all(model: ModelArtifact, ledger: UpdateLedger) -> list:
     """Subtract every ledger delta; telescopes back to the initialization."""
-    if params_hash(model.params) != ledger.final_hash:
-        raise LedgerMismatch("ledger final-parameter hash does not match the model")
-    total = ledger.summed_deltas()
-    params = copy_params(model.params)
-    for layer_params, layer_delta in zip(params, total):
-        for k, v in layer_delta.items():
-            layer_params[k] -= v
-    return params
+    return _subtract_ledger(model, ledger)
 
 
 def negative_gradient(model: ModelArtifact, d_unlearn: LabeledDataset,

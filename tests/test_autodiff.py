@@ -34,28 +34,32 @@ def test_batched_param_gradients_match_finite_differences():
     assert err < FD_TOL
 
 
+def _identity_net(t):
+    """One dense layer whose logits equal its input."""
+    return [ad.Dense(t, t)], [{"W": np.eye(t), "b": np.zeros(t)}]
+
+
 def test_cross_entropy_uniform_logits_is_log_t():
     for t in (2, 5, 10):
-        logits = ad.Tensor(np.zeros(t))
-        ce = ad.softmax_cross_entropy(logits, np.asarray(0))
+        ce = ad.softmax_cross_entropy(np.zeros(t), np.asarray(0))
         assert ce.item() == pytest.approx(math.log(t), abs=1e-15)
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
     z = np.array([1.0, -2.0, 0.5])
-    logits = ad.Tensor(z, requires_grad=True)
-    loss = ad.softmax_cross_entropy(logits, np.asarray(2))
-    loss.backward()
+    grad = ad.grad_input(*_identity_net(3), z, 2)
     expect = ad.softmax(z)
     expect[2] -= 1.0
-    assert np.allclose(logits.grad, expect, atol=1e-12)
+    assert np.allclose(grad, expect, atol=1e-12)
+    # the batch path's mean CE gives each row's gradient / N; the bias sums them
+    layers, params = _identity_net(3)
+    bundle, _ = ad.grad_params(layers, params, np.stack([z, z]), np.array([2, 2]))
+    assert np.allclose(bundle.param_grads[0]["b"], expect, atol=1e-12)
 
 
 def test_saturated_logits_give_vanishing_gradient():
-    logits = ad.Tensor(np.array([40.0, 0.0, 0.0]), requires_grad=True)
-    loss = ad.softmax_cross_entropy(logits, np.asarray(0))
-    loss.backward()
-    assert np.max(np.abs(logits.grad)) <= 1e-6
+    grad = ad.grad_input(*_identity_net(3), np.array([40.0, 0.0, 0.0]), 0)
+    assert np.max(np.abs(grad)) <= 1e-6
 
 
 def test_softmax_rows_sum_to_one_and_stay_open_interval():
@@ -70,22 +74,23 @@ def test_mean_reduction_is_sum_over_n():
     rng = np.random.default_rng(15)
     z = rng.normal(size=(6, 4))
     y = rng.integers(0, 4, size=6)
-    mean = ad.softmax_cross_entropy(ad.Tensor(z), y, reduction="mean").item()
-    total = ad.softmax_cross_entropy(ad.Tensor(z), y, reduction="sum").item()
+    mean = ad.softmax_cross_entropy(z, y, reduction="mean").item()
+    total = ad.softmax_cross_entropy(z, y, reduction="sum").item()
     assert mean == pytest.approx(total / 6.0, rel=1e-12)
+    with pytest.raises(ValueError, match="reduction"):
+        ad.softmax_cross_entropy(z, y, reduction="max")
 
 
 def test_tv_hand_example():
     img = np.array([[0.0, 1.0], [0.0, 1.0]])[:, :, None]
-    assert ad.tv_penalty(ad.Tensor(img)).item() == pytest.approx(2.0)
+    assert ad.tv_penalty(img).item() == pytest.approx(2.0)
 
 
 def test_tv_zero_iff_constant():
-    const = ad.Tensor(np.full((4, 4, 2), 0.7))
-    assert ad.tv_penalty(const).item() == 0.0
+    assert ad.tv_penalty(np.full((4, 4, 2), 0.7)).item() == 0.0
     bumped = np.full((4, 4, 2), 0.7)
     bumped[1, 2, 0] += 0.3
-    assert ad.tv_penalty(ad.Tensor(bumped)).item() > 0.0
+    assert ad.tv_penalty(bumped).item() > 0.0
 
 
 def test_l2_term_dominates_when_net_is_zero():
@@ -97,28 +102,23 @@ def test_l2_term_dominates_when_net_is_zero():
 
 
 def test_relu_subgradient_at_zero_is_zero():
-    x = ad.Tensor(np.array([0.0, -1.0, 2.0]), requires_grad=True)
-    out = ad.relu(x)
-    loss = ad.l2_penalty(out)
-    loss.backward()
-    assert np.allclose(x.grad, [0.0, 0.0, 4.0])
+    # a unit upstream gradient passes only where x > 0, so not at x == 0
+    out = ad.forward([ad.Relu()], [{}], np.array([0.0, -1.0, 2.0]))
+    assert np.array_equal(out.backward(np.ones(3)), [0.0, 0.0, 1.0])
 
 
 def test_maxpool_tie_routes_to_first_window_position():
-    x = ad.Tensor(np.full((1, 2, 2, 1), 5.0), requires_grad=True)
-    out = ad.maxpool2(x)
+    out = ad.forward([ad.MaxPool2()], [{}], np.full((1, 2, 2, 1), 5.0))
     assert out.data.shape == (1, 1, 1, 1)
-    loss = ad.l2_penalty(out)
-    loss.backward()
     expect = np.zeros((1, 2, 2, 1))
     expect[0, 0, 0, 0] = 10.0
-    assert np.array_equal(x.grad, expect)
+    assert np.array_equal(out.backward(2.0 * out.data), expect)
 
 
 def test_maxpool_drops_odd_edges():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(1, 5, 5, 2))
-    out = ad.maxpool2(ad.Tensor(x))
+    out = ad.forward([ad.MaxPool2()], [{}], x)
     assert out.data.shape == (1, 2, 2, 2)
     assert np.array_equal(out.data, x[:, :4, :4, :].reshape(1, 2, 2, 2, 2, 2)
                           .transpose(0, 1, 3, 2, 4, 5).reshape(1, 2, 2, 4, 2).max(axis=3))
@@ -136,7 +136,7 @@ def test_conv_matches_direct_sum_on_tiny_input():
     rng = np.random.default_rng(18)
     x = rng.normal(size=(1, 3, 3, 1))
     k = rng.normal(size=(3, 3, 1, 1))
-    out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(np.array([0.25])))
+    out = ad.forward([ad.Conv2D(3, 3, 1, 1)], [{"K": k, "b": np.array([0.25])}], x)
     expect = float((x[0, :, :, 0] * k[:, :, 0, 0]).sum()) + 0.25
     assert out.data.shape == (1, 1, 1, 1)
     assert out.data[0, 0, 0, 0] == pytest.approx(expect, rel=1e-12)
@@ -175,18 +175,45 @@ def test_shape_mismatch_error_names_the_layer():
 
 
 def test_invalid_class_index_raises():
-    logits = ad.Tensor(np.zeros(4))
+    logits = np.zeros(4)
     with pytest.raises(ValueError, match="out of range"):
         ad.softmax_cross_entropy(logits, np.asarray(4))
     with pytest.raises(ValueError, match="out of range"):
         ad.softmax_cross_entropy(logits, np.asarray(-1))
 
 
-def test_tensor_rejects_non_finite_in_checked_mode():
+def test_forward_rejects_non_finite_input_but_not_params():
+    layers, params = _identity_net(2)
     with pytest.raises(ValueError, match="non-finite"):
-        ad.Tensor(np.array([1.0, np.nan]))
-    t = ad.Tensor(np.array([1.0, np.inf]), check=False)
-    assert not np.isfinite(t.data).all()
+        ad.forward(layers, params, np.array([1.0, np.nan]))
+    # diverged parameters surface as non-finite logits, not as an error
+    params[0]["b"] = np.array([np.inf, 0.0])
+    assert not np.isfinite(ad.forward(layers, params, np.ones(2)).data).all()
+
+
+def test_backward_targets_agree():
+    rng = np.random.default_rng(20)
+    layers, params, x, y = random_mlp_case(rng)
+    out = ad.forward(layers, params, x[None])
+    g = rng.normal(size=out.data.shape)
+    dx, grads = out.backward(g, wrt="both")
+    assert np.array_equal(dx, out.backward(g))
+    for got, want in zip(grads, out.backward(g, wrt="params")):
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[k], want[k]) for k in got)
+    assert dx.shape == (1, x.size)
+    with pytest.raises(ValueError, match="wrt"):
+        out.backward(g, wrt="logits")
+
+
+def test_loss_and_grad_input_matches_its_parts():
+    rng = np.random.default_rng(21)
+    layers, params, x, y = random_mlp_case(rng)
+    loss, grad = ad.loss_and_grad_input(layers, params, x, y, lam_l2=1e-3)
+    assert loss == ad.loss_total(layers, params, x, y, lam_l2=1e-3).item()
+    assert np.array_equal(grad, ad.grad_input(layers, params, x, y, lam_l2=1e-3))
+    with pytest.raises(ValueError, match="non-negative"):
+        ad.loss_total(layers, params, x, y, lam_l2=-1.0)
 
 
 def test_forward_replay_is_bit_identical():

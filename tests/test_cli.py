@@ -53,6 +53,15 @@ def test_unlearn_rt_forgets_class(walk):
     assert model.accuracy(ds.x[keep_idx], ds.y[keep_idx]) >= 0.9
 
 
+def test_unlearn_rejects_non_integer_forget_ids(walk, tmp_path, capsys):
+    code = cli.main(["unlearn", "--method", "rt", "--data", walk["data"],
+                     "--forget", "2,x", "--out", str(tmp_path / "x.ulkm")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--forget must be comma-joined integers, got '2,x'" in err
+    assert not (tmp_path / "x.ulkm").exists()
+
+
 def test_unlearn_ft_needs_base_model(walk, tmp_path, capsys):
     code = cli.main(["unlearn", "--method", "ft", "--data", walk["data"],
                      "--forget", "2", "--out", str(tmp_path / "x.ulkm")])

@@ -33,11 +33,11 @@ def test_resolve_config_rejects_bad_values():
         hz.resolve_config({"unlearn.method": "zap"}, env={})
     with pytest.raises(ValueError):
         hz.resolve_config({"attack": "beam"}, env={})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seeds must be comma-joined integers"):
         hz.resolve_config({"seeds": "1,x"}, env={})
     with pytest.raises(ValueError):
         hz.resolve_config({"screen.alpha": "wide"}, env={})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unlearn.forget must be comma-joined"):
         hz.resolve_config({"unlearn.forget": ""}, env={})
 
 

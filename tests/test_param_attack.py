@@ -32,6 +32,23 @@ def test_dot_features_self_and_orthogonal():
     assert list(feats.labels) == [0, 0]
 
 
+@pytest.mark.parametrize("kind", ["dot", "diff"])
+def test_feature_sets_reject_misaligned_columns_and_bad_labels(kind):
+    rows = np.zeros(3) if kind == "dot" else np.zeros((3, 2))
+    make = pa.DotFeatureSet if kind == "dot" else pa.DiffFeatureSet
+    ids = np.arange(3)
+    assert len(make(rows, np.array([0, 1, 0]), ids, ids)) == 3
+    with pytest.raises(ValueError, match="share one length"):
+        make(rows, np.array([0, 1]), ids, ids)
+    with pytest.raises(ValueError, match="share one length"):
+        make(rows, np.array([0, 1, 0]), ids, ids[:2])
+    with pytest.raises(ValueError, match="0 \\(rest\\) or 1"):
+        make(rows, np.array([0, 2, 0]), ids, ids)
+    if kind == "diff":
+        with pytest.raises(ValueError, match="2-D"):
+            make(np.zeros(3), np.array([0, 1, 0]), ids, ids)
+
+
 def test_dot_features_cosine_flag():
     w = ParameterVector(np.array([2.0, 0.0]), "target")
     aux = _mk_aux([[5.0, 0.0], [0.0, 7.0]], [0, 1])
