@@ -1,13 +1,18 @@
 """Sequential layer stack with reverse-mode gradients, in 64-bit floats.
 
 Dense, stride-1 2-D convolution, ReLU, 2x2 max-pool and flatten layers
-cover an MLP and a LeNet-scale CNN. Each layer has ``forward(p, x, i) ->
-(out, cache)`` and ``backward(p, cache, g, grads, need_dx)``, which fills
-``grads`` (when not None) with its parameter gradients and returns
-d(loss)/d(x) when ``need_dx``. ``forward`` runs the stack once and keeps
-every cache; ``Tensor.backward`` walks it in reverse. A single MLP sample
-stays 1-D (matrix-vector products), batches use matrix products, and
-replays are bit-identical (single-threaded numpy).
+cover an MLP and a LeNet-scale CNN. Each layer has ``forward(p, x, i,
+rows) -> (out, cache)`` and ``backward(p, cache, g, grads, need_dx,
+rows)``, which fills ``grads`` (when not None) with its parameter
+gradients and returns d(loss)/d(x) when ``need_dx``. ``forward`` runs the stack once and keeps
+every cache; ``Tensor.backward`` walks it in reverse.
+
+Two modes share the layers. Batch mode (training, evaluation) takes one
+matrix product over all rows. Rows mode treats the leading axis as
+independent samples and gives each row its own product, so every row's
+bits equal those of that row run alone; one product over all rows would
+change them. A single sample runs as one row of rows mode, and replays
+are bit-identical (single-threaded numpy).
 """
 
 from __future__ import annotations
@@ -17,8 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+NON_FINITE_INPUT = "tensor rejected: non-finite entries"
+
+
 class ShapeMismatch(ValueError):
     """Input/parameter shapes disagree; message names the offending layer."""
+
+
+def _rowwise(a, w):
+    """a @ w over a's last axis, each leading-axis row its own product."""
+    out = np.matmul(np.ascontiguousarray(a).reshape(a.shape[0], -1, a.shape[-1]), w)
+    return out.reshape(a.shape[:-1] + w.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -28,27 +42,29 @@ class Dense:
     in_dim: int
     out_dim: int
 
-    def forward(self, p, x, i):
+    def forward(self, p, x, i, rows):
         if x.shape[-1] != p["W"].shape[0]:
             raise ShapeMismatch(f"layer {i} (dense): input width {x.shape[-1]} "
                                 f"!= weight rows {p['W'].shape[0]}")
-        return x @ p["W"] + p["b"], x
+        return (_rowwise(x, p["W"]) if rows else x @ p["W"]) + p["b"], x
 
-    def backward(self, p, x, g, grads, need_dx):
+    def backward(self, p, x, g, grads, need_dx, rows):
         if grads is not None:
             gm = g.reshape(-1, g.shape[-1])
-            grads["W"] = np.outer(x, g) if x.ndim == 1 else x.reshape(-1, x.shape[-1]).T @ gm
+            grads["W"] = x.reshape(-1, x.shape[-1]).T @ gm
             grads["b"] = gm.sum(axis=0)
-        return g @ p["W"].T if need_dx else None
+        if not need_dx:
+            return None
+        return _rowwise(g, p["W"].T) if rows else g @ p["W"].T
 
 
 @dataclass(frozen=True)
 class Relu:
-    def forward(self, p, x, i):
+    def forward(self, p, x, i, rows):
         mask = x > 0.0
         return np.where(mask, x, 0.0), mask
 
-    def backward(self, p, mask, g, grads, need_dx):
+    def backward(self, p, mask, g, grads, need_dx, rows):
         return g * mask
 
 
@@ -62,7 +78,7 @@ class Conv2D:
     out_ch: int
     padding: str = "valid"
 
-    def forward(self, p, x, i):
+    def forward(self, p, x, i, rows):
         kh, kw, cin, cout = p["K"].shape
         if x.ndim != 4 or x.shape[3] != cin:
             raise ShapeMismatch(f"layer {i} (conv2d): expected NHWC input with {cin} "
@@ -79,10 +95,11 @@ class Conv2D:
                                 f"input {hp}x{wp}")
         out = np.broadcast_to(p["b"], (n, ho, wo, cout)).copy()
         for a, c in np.ndindex(kh, kw):
-            out += np.tensordot(xp[:, a:a + ho, c:c + wo, :], p["K"][a, c], axes=([3], [0]))
+            xs, k = xp[:, a:a + ho, c:c + wo, :], p["K"][a, c]
+            out += _rowwise(xs, k) if rows else np.tensordot(xs, k, axes=([3], [0]))
         return out, (xp, x.shape, ph, pw)
 
-    def backward(self, p, cache, g, grads, need_dx):
+    def backward(self, p, cache, g, grads, need_dx, rows):
         (xp, shape, ph, pw), k = cache, p["K"]
         ho, wo = g.shape[1:3]
         if grads is not None:
@@ -95,7 +112,8 @@ class Conv2D:
             return None
         dxp = np.zeros_like(xp)
         for a, c in np.ndindex(k.shape[:2]):
-            dxp[:, a:a + ho, c:c + wo, :] += np.tensordot(g, k[a, c], axes=([3], [1]))
+            dxp[:, a:a + ho, c:c + wo, :] += (_rowwise(g, k[a, c].T) if rows else
+                                              np.tensordot(g, k[a, c], axes=([3], [1])))
         return dxp[:, ph:ph + shape[1], pw:pw + shape[2], :]
 
 
@@ -104,7 +122,7 @@ class MaxPool2:
     """2x2 max-pool, stride 2; odd trailing rows/cols dropped. A tie routes
     the gradient to the first position in row-major window order."""
 
-    def forward(self, p, x, i):
+    def forward(self, p, x, i, rows):
         if x.ndim != 4:
             raise ShapeMismatch(f"layer {i} (maxpool2): expected NHWC input, got {x.shape}")
         n, h, w, c = x.shape
@@ -113,7 +131,7 @@ class MaxPool2:
         idx = win.argmax(axis=3)[:, :, :, None, :]
         return np.take_along_axis(win, idx, axis=3)[:, :, :, 0, :], (idx, x.shape)
 
-    def backward(self, p, cache, g, grads, need_dx):
+    def backward(self, p, cache, g, grads, need_dx, rows):
         (idx, shape), (n, h2, w2, c) = cache, g.shape
         dwin = np.zeros((n, h2, w2, 4, c))
         np.put_along_axis(dwin, idx, g[:, :, :, None, :], axis=3)
@@ -125,24 +143,25 @@ class MaxPool2:
 
 @dataclass(frozen=True)
 class Flatten:
-    def forward(self, p, x, i):
+    def forward(self, p, x, i, rows):
         if x.ndim < 2:
             raise ShapeMismatch(f"layer {i} (flatten): expected batched input, got {x.shape}")
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, p, shape, g, grads, need_dx):
+    def backward(self, p, shape, g, grads, need_dx, rows):
         return g.reshape(shape)
 
 
 class Tensor:
-    """Output of ``forward``: ``data`` plus each layer's cache. A single image
-    gets a batch axis of 1, which the logits and the input gradient drop."""
+    """Output of ``forward``: ``data`` plus each layer's cache. A single sample
+    gets a leading axis of 1, which the logits (when 2-D) and the input
+    gradient drop."""
 
-    __slots__ = ("data", "_layers", "_params", "_caches", "_expand")
+    __slots__ = ("data", "_layers", "_params", "_caches", "_rows", "_single")
 
-    def __init__(self, data, layers, params, caches, expand: bool):
+    def __init__(self, data, layers, params, caches, rows: bool, single: bool):
         self.data, self._layers, self._params = data, layers, params
-        self._caches, self._expand = caches, expand
+        self._caches, self._rows, self._single = caches, rows, single
 
     def backward(self, g, wrt: str = "input"):
         """Backpropagate ``g`` = d(loss)/d(data) through the layers in reverse.
@@ -151,33 +170,39 @@ class Tensor:
         if wrt not in ("input", "params", "both"):
             raise ValueError(f"wrt must be 'input', 'params' or 'both', got {wrt!r}")
         grads = None if wrt == "input" else [{} for _ in self._layers]
-        if self._expand and self.data.ndim == 1:
+        if self._single and self.data.ndim == 1:
             g = g[None]
         for i in range(len(self._layers) - 1, -1, -1):
             g = self._layers[i].backward(self._params[i], self._caches[i], g,
-                                         grads and grads[i], i > 0 or wrt != "params")
+                                         grads and grads[i], i > 0 or wrt != "params",
+                                         self._rows)
         if wrt == "params":
             return grads
-        g = g[0] if self._expand else g
+        g = g[0] if self._single else g
         return g if grads is None else (g, grads)
 
 
-def forward(layers, params, x) -> Tensor:
+def forward(layers, params, x, rows: bool = False) -> Tensor:
     """Run the layer stack on x; the returned Tensor holds the logits.
 
     ``params`` is aligned with ``layers``: {"W","b"} for dense, {"K","b"}
-    for conv, {} for the rest. A non-finite x raises ValueError; parameters
-    are unchecked, so a diverged model yields non-finite logits."""
+    for conv, {} for the rest. x is one sample (a vector, or an (H,W,C)
+    image for a stack that starts with an image layer) or a batch along
+    the leading axis; ``rows=True`` runs the batch in rows mode. A
+    non-finite x raises ValueError; parameters are unchecked, so a
+    diverged model yields non-finite logits."""
     h = np.ascontiguousarray(x, dtype=np.float64)
     if not np.all(np.isfinite(h)):
-        raise ValueError("tensor rejected: non-finite entries")
-    expand = h.ndim == 3 and isinstance(layers[0], (Conv2D, MaxPool2, Flatten))
-    h = h[None] if expand else h
+        raise ValueError(NON_FINITE_INPUT)
+    image_first = isinstance(layers[0], (Conv2D, MaxPool2, Flatten))
+    single = not rows and h.ndim == (3 if image_first else 1)
+    rows = rows or single
+    h = h[None] if single else h
     caches = []
     for i, (layer, p) in enumerate(zip(layers, params)):
-        h, cache = layer.forward(p, h, i)
+        h, cache = layer.forward(p, h, i, rows)
         caches.append(cache)
-    return Tensor(h[0] if expand and h.ndim == 2 else h, layers, params, caches, expand)
+    return Tensor(h[0] if single and h.ndim == 2 else h, layers, params, caches, rows, single)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -192,13 +217,15 @@ def _cross_entropy(logits, labels, reduction: str):
     y = np.asarray(labels)
     if np.any(y < 0) or np.any(y >= z.shape[-1]):
         raise ValueError(f"class index out of range [0,{z.shape[-1]}): {y}")
-    if reduction not in ("mean", "sum"):
+    if reduction not in ("mean", "sum", "none"):
         raise ValueError(f"unknown reduction {reduction!r}")
     zb, rows = (z[None, :] if z.ndim == 1 else z), (np.arange(y.size), y.reshape(-1))
     m = zb.max(axis=1, keepdims=True)
     per_sample = np.log(np.exp(zb - m).sum(axis=1)) + m[:, 0] - zb[rows]
     p = softmax(zb)
     p[rows] -= 1.0
+    if reduction == "none":
+        return per_sample, p.reshape(z.shape)
     if reduction == "sum":
         return per_sample.sum(), p.reshape(z.shape)
     p /= len(zb)
@@ -207,18 +234,25 @@ def _cross_entropy(logits, labels, reduction: str):
 
 def softmax_cross_entropy(logits, labels, reduction: str = "mean") -> np.float64:
     """Fused softmax + cross-entropy (log-sum-exp with max subtraction) of an
-    array or ``forward`` output; ``labels`` has shape () or (N,) for N rows."""
+    array or ``forward`` output; ``labels`` has shape () or (N,) for N rows.
+    ``reduction="none"`` gives the per-row losses."""
     return _cross_entropy(logits, labels, reduction)[0]
+
+
+def _tv_rows(x: np.ndarray) -> np.ndarray:
+    """Total variation of each (H,W,C) image in an (N,H,W,C) stack."""
+    if x.ndim != 4:
+        raise ShapeMismatch(f"tv_penalty: expected (H,W,C) or (N,H,W,C), got {x.shape}")
+    n = len(x)
+    return ((np.diff(x, axis=1) ** 2).reshape(n, -1).sum(axis=1)
+            + (np.diff(x, axis=2) ** 2).reshape(n, -1).sum(axis=1))
 
 
 def tv_penalty(x) -> np.float64:
     """Squared-difference total variation over horizontal and vertical neighbor
     pairs of (H,W,C) or (N,H,W,C) inputs; zero iff constant per channel."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (3, 4):
-        raise ShapeMismatch(f"tv_penalty: expected (H,W,C) or (N,H,W,C), got {x.shape}")
-    xb = x[None] if x.ndim == 3 else x
-    return (np.diff(xb, axis=1) ** 2).sum() + (np.diff(xb, axis=2) ** 2).sum()
+    return _tv_rows(x[None] if x.ndim == 3 else x).sum()
 
 
 def _tv_grad(x: np.ndarray) -> np.ndarray:
@@ -238,42 +272,46 @@ class GradientBundle:
     param_grads: list
 
 
-def _objective(layers, params, x, y_target, lam_l2, lam_tv):
-    """loss_total, the forward output, d(CE)/d(logits) and x as floats."""
+def _objective(layers, params, x, y, lam_l2, lam_tv):
+    """Per-row loss_total of rows x with targets y, the rows-mode forward
+    output, d(CE)/d(logits) and x as floats."""
     if lam_l2 < 0 or lam_tv < 0:
         raise ValueError("regularization weights must be non-negative")
     x = np.ascontiguousarray(x, dtype=np.float64)
-    out = forward(layers, params, x)
-    loss, dz = _cross_entropy(out.data, y_target, "sum")
+    out = forward(layers, params, x, rows=True)
+    loss, dz = _cross_entropy(out.data, y, "none")
     if lam_l2 > 0.0:
-        loss = loss + (x ** 2).sum() * lam_l2
+        loss = loss + (x ** 2).reshape(len(x), -1).sum(axis=1) * lam_l2
     if lam_tv > 0.0:
-        loss = loss + tv_penalty(x) * lam_tv
+        loss = loss + _tv_rows(x) * lam_tv
     return loss, out, dz, x
 
 
 def loss_total(layers, params, x, y_target: int, lam_l2: float = 0.0,
                lam_tv: float = 0.0) -> np.float64:
     """CE(M(x), y_target) + lam_l2*||x||^2 + lam_tv*TV(x) for one sample."""
-    return _objective(layers, params, x, y_target, lam_l2, lam_tv)[0]
+    return _objective(layers, params, np.asarray(x)[None], [y_target],
+                      lam_l2, lam_tv)[0][0]
 
 
-def loss_and_grad_input(layers, params, x, y_target: int, lam_l2: float = 0.0,
-                        lam_tv: float = 0.0) -> tuple[float, np.ndarray]:
-    """``loss_total`` and its gradient w.r.t. x from one forward pass."""
-    loss, out, dz, x = _objective(layers, params, x, y_target, lam_l2, lam_tv)
+def loss_and_grad_input(layers, params, x, y, lam_l2: float = 0.0,
+                        lam_tv: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``loss_total`` and its gradient w.r.t. x for n independent
+    rows x (n, ...) with targets y (n,), from one rows-mode forward pass."""
+    loss, out, dz, x = _objective(layers, params, x, y, lam_l2, lam_tv)
     g = out.backward(dz)
     if lam_l2 > 0.0:
         g = g + 2.0 * x * lam_l2
     if lam_tv > 0.0:
         g = g + _tv_grad(x) * lam_tv
-    return loss.item(), g
+    return loss, g
 
 
 def grad_input(layers, params, x, y_target: int, lam_l2: float = 0.0,
                lam_tv: float = 0.0) -> np.ndarray:
     """Gradient of loss_total w.r.t. the input, same shape as x."""
-    return loss_and_grad_input(layers, params, x, y_target, lam_l2, lam_tv)[1]
+    return loss_and_grad_input(layers, params, np.asarray(x)[None], [y_target],
+                               lam_l2, lam_tv)[1][0]
 
 
 def grad_params(layers, params, batch_x, batch_y, reduction: str = "mean"

@@ -10,20 +10,26 @@ prediction of the forgotten set.
 White-box: multi-start gradient descent on
 ``CE(M(x), t) + lam_l2*||x||^2 + lam_tv*TV(x)``, starting from standard
 Gaussian draws and keeping the final iterate with the lowest
-cross-entropy. TV only applies to image inputs; vector data uses 0.
+cross-entropy. TV only applies to image inputs; vector data uses 0. Every
+restart of every class descends as one row of a single batch in
+autodiff's rows mode, so each row's bits equal those of a lone descent. A
+row stops at its first non-finite loss (the restart is dropped) or
+non-finite iterate (the inversion fails as a lone descent would).
 
 Black-box: a genetic algorithm over [0,1]^d that sees nothing but the
 model's output vector. Fitness is P(t|x); parents are drawn by roulette
 with a small floor, recombined by single-point crossover, mutated in one
 uniformly chosen coordinate with a decaying Gaussian step, and the top
 ``elite`` individuals survive unchanged, which makes best fitness
-monotone per generation.
+monotone per generation. A generation's children are bred one after
+another from the class's stream and then scored in one batched oracle
+call; the best individual is the first to reach the highest fitness, as
+in a child-by-child scan.
 
 All randomness flows from per-(seed, attack, class) substreams, so IPV
 sets are bit-reproducible and per-class runs are order-independent.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +142,8 @@ class GAConfig:
         if self.query_budget is not None and self.query_budget < 1:
             raise ValueError(f"query budget must be >= 1, got {self.query_budget}")
         if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
-            raise ValueError(f"mutation rate must lie in [0, 1]")
+            raise ValueError(f"mutation rate must lie in [0, 1], got "
+                             f"{self.mutation_rate}")
 
 
 @dataclass(frozen=True)
@@ -169,32 +176,81 @@ def _ipv(target: int, probs: np.ndarray, fitness: float, queries: int,
 
 
 class QueryOracle:
-    """Input -> softmax vector handle, counting every call.
+    """Input -> softmax vector handle, counting every row it answers.
 
-    Wraps a model artifact (the usual case) or any callable; black-box
-    code touches nothing but ``__call__`` and the counter.
+    Wraps a model artifact (the usual case) or any callable of one input;
+    black-box code touches nothing but ``__call__`` and the counter.
+    ``oracle(x)`` answers one input and counts one query. ``oracle(xs,
+    rows=True)`` answers a batch with one vector per row and counts one
+    query per row. A model answers a batch in autodiff's rows mode, so
+    each vector is bit-equal to that row's lone answer; a callable answers
+    it one row at a time.
     """
 
     def __init__(self, target, input_shape: tuple | None = None,
                  n_classes: int | None = None):
         if isinstance(target, ModelArtifact):
-            self._fn = target.predict_proba
+            self._answer = target.predict_proba
             self.input_shape = target.spec.input_shape
             self.n_classes = target.spec.n_classes
         else:
-            self._fn = target
+            def answer(x, rows):
+                return [np.asarray(target(r), dtype=np.float64) for r in x] \
+                    if rows else target(x)
+            self._answer = answer
             self.input_shape = input_shape
             self.n_classes = n_classes
         self.queries = 0
 
-    def __call__(self, x) -> np.ndarray:
-        self.queries += 1
-        return np.asarray(self._fn(np.asarray(x, dtype=np.float64)),
-                          dtype=np.float64)
+    def __call__(self, x, rows: bool = False) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        self.queries += len(x) if rows else 1
+        return np.asarray(self._answer(x, rows=rows), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
 # white-box
+
+# how a descent row ended: converged, dropped at a non-finite loss, or
+# stopped at a non-finite iterate (which fails the whole inversion)
+_CONVERGED, _DIVERGED, _NON_FINITE = 0, 1, 2
+
+
+def _descend_rows(model: ModelArtifact, targets: np.ndarray, x: np.ndarray,
+                  cfg: InversionConfigWB):
+    """Gradient-descend the inversion loss from the starting rows ``x``
+    (n, *input_shape), row i towards class ``targets[i]``.
+
+    Runs ``cfg.iterations`` steps and one last evaluation. Returns (x,
+    initial, final, state) with one entry per row; a row that ends
+    ``_DIVERGED`` or ``_NON_FINITE`` keeps its last finite iterate.
+    """
+    layers, params = model.layers, model.params
+    x = np.array(x, dtype=np.float64)
+    if cfg.box is not None:
+        x = np.clip(x, *cfg.box)
+    initial, final = np.full(len(x), np.nan), np.full(len(x), np.nan)
+    state = np.full(len(x), _CONVERGED)
+    live = np.arange(len(x))
+    for step in range(cfg.iterations + 1):
+        finite = np.isfinite(x[live]).all(axis=tuple(range(1, x.ndim)))
+        state[live[~finite]] = _NON_FINITE
+        live = live[finite]
+        if not live.size:
+            break
+        value, grad = ad.loss_and_grad_input(layers, params, x[live], targets[live],
+                                             cfg.lam_l2, cfg.lam_tv)
+        if step == 0:
+            initial[live] = value
+        final[live] = value
+        ok = np.isfinite(value)
+        state[live[~ok]] = _DIVERGED
+        if step == cfg.iterations:
+            break
+        live = live[ok]
+        stepped = x[live] - cfg.lr * grad[ok]
+        x[live] = stepped if cfg.box is None else np.clip(stepped, *cfg.box)
+    return x, initial, final, state
 
 
 def wb_descend(model: ModelArtifact, target: int, x0: np.ndarray,
@@ -202,72 +258,69 @@ def wb_descend(model: ModelArtifact, target: int, x0: np.ndarray,
     """Gradient-descend the inversion loss from one starting point.
 
     Returns (x_final, initial_loss, final_loss, converged). A non-finite
-    loss at any step aborts the run with converged=False. With a box
-    configured, the start and every iterate are projected into it.
+    loss at any step aborts the run with converged=False; a non-finite
+    iterate raises forward's ValueError. With a box configured, the start
+    and every iterate are projected into it.
     """
-    layers, params = model.layers, model.params
-    x = np.asarray(x0, dtype=np.float64)
-    if cfg.box is not None:
-        x = np.clip(x, *cfg.box)
-    initial = None
-    for _ in range(cfg.iterations):
-        value, grad = ad.loss_and_grad_input(layers, params, x, target,
-                                             cfg.lam_l2, cfg.lam_tv)
-        if initial is None:
-            initial = value
-        if not np.isfinite(value):
-            return x, initial, value, False
-        x = x - cfg.lr * grad
-        if cfg.box is not None:
-            x = np.clip(x, *cfg.box)
-    final = ad.loss_total(layers, params, x, target, cfg.lam_l2,
-                          cfg.lam_tv).item()
-    if initial is None:
-        initial = final
-    return x, initial, final, bool(np.isfinite(final))
+    x, initial, final, state = _descend_rows(
+        model, np.array([target]), np.asarray(x0, dtype=np.float64)[None], cfg)
+    if state[0] == _NON_FINITE:
+        raise ValueError(ad.NON_FINITE_INPUT)
+    return x[0], float(initial[0]), float(final[0]), bool(state[0] == _CONVERGED)
+
+
+def _invert_whitebox_classes(model: ModelArtifact, targets,
+                             cfg: InversionConfigWB | None = None) -> list:
+    """Best-of-K gradient inversion of each class in ``targets``, with all
+    classes' restarts descended as one batch.
+
+    Each class draws its K starts from its own stream. Diverged restarts
+    are dropped without replacement so the compute budget stays fixed.
+    Classes are checked in order: the first with a non-finite iterate
+    raises forward's ValueError, the first with no surviving restart
+    AllInitsDiverged.
+    """
+    cfg = cfg or InversionConfigWB()
+    k = cfg.k_inits
+    for t in targets:
+        if not 0 <= t < model.spec.n_classes:
+            raise ValueError(f"target {t} outside [0, {model.spec.n_classes})")
+    x0 = np.concatenate([
+        rngmod.stream(cfg.seed, rngmod.STREAM_INVERT_WB, t).standard_normal(
+            (k,) + tuple(model.spec.input_shape)) for t in targets])
+    x, _, _, state = _descend_rows(model, np.repeat(targets, k), x0, cfg)
+    probs = np.zeros((len(x), model.spec.n_classes))
+    done = np.flatnonzero(state == _CONVERGED)
+    if done.size:
+        probs[done] = model.predict_proba(x[done], rows=True)
+    ipvs = []
+    for j, t in enumerate(targets):
+        rows = range(j * k, (j + 1) * k)
+        if (state[j * k:(j + 1) * k] == _NON_FINITE).any():
+            raise ValueError(ad.NON_FINITE_INPUT)
+        best_ce, best = np.inf, None
+        for r in rows:
+            if state[r] != _CONVERGED:
+                continue
+            ce = -np.log(max(float(probs[r, t]), 1e-300))
+            if ce < best_ce:
+                best_ce, best = ce, r
+        if best is None:
+            raise AllInitsDiverged(f"all {k} inits diverged for class {t}")
+        ipvs.append(_ipv(t, probs[best], float(probs[best, t]), queries=0))
+    return ipvs
 
 
 def invert_whitebox(model: ModelArtifact, target: int,
                     cfg: InversionConfigWB | None = None
                     ) -> InvertedPredictionVector:
-    """Best-of-K gradient inversion; keeps the lowest-CE final iterate.
-
-    Diverged restarts are dropped without replacement so the compute
-    budget stays fixed; AllInitsDiverged if none survive.
-    """
-    cfg = cfg or InversionConfigWB()
-    if not 0 <= target < model.spec.n_classes:
-        raise ValueError(f"target {target} outside [0, {model.spec.n_classes})")
-    gen = rngmod.stream(cfg.seed, rngmod.STREAM_INVERT_WB, target)
-    best_ce, best_probs = np.inf, None
-    for _ in range(cfg.k_inits):
-        x0 = gen.standard_normal(model.spec.input_shape)
-        x, _, _, converged = wb_descend(model, target, x0, cfg)
-        if not converged:
-            continue
-        probs = model.predict_proba(x)
-        ce = -np.log(max(float(probs[target]), 1e-300))
-        if ce < best_ce:
-            best_ce, best_probs = ce, probs
-    if best_probs is None:
-        raise AllInitsDiverged(
-            f"all {cfg.k_inits} inits diverged for class {target}")
-    return _ipv(target, best_probs, float(best_probs[target]), queries=0)
+    """Best-of-K gradient inversion of one class; keeps the lowest-CE final
+    iterate. AllInitsDiverged if every restart diverges."""
+    return _invert_whitebox_classes(model, [target], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # black-box
-
-
-def ga_fitness(oracle: QueryOracle, x: np.ndarray, target: int) -> float:
-    """P(target|x) through the oracle; costs exactly one query.
-
-    Raises InversionError when the oracle's answer is NaN or infinite.
-    """
-    value = float(oracle(x)[target])
-    if not math.isfinite(value):
-        raise InversionError(f"oracle returned fitness {value} for class {target}")
-    return value
 
 
 def ga_sigma(cfg: GAConfig, generation: int) -> float:
@@ -275,36 +328,37 @@ def ga_sigma(cfg: GAConfig, generation: int) -> float:
     return cfg.sigma0 * cfg.decay ** generation
 
 
-def ga_crossover(p1: np.ndarray, p2: np.ndarray, cut: int) -> np.ndarray:
-    """Single-point recombination: first ``cut`` genes from p1, rest p2."""
-    p1 = np.asarray(p1, dtype=np.float64)
-    p2 = np.asarray(p2, dtype=np.float64)
-    if p1.shape != p2.shape or p1.ndim != 1:
-        raise ValueError("parents must be equal-length 1-D chromosomes")
-    if not 0 <= cut <= len(p1):
-        raise ValueError(f"cut {cut} outside [0, {len(p1)}]")
-    return np.concatenate([p1[:cut], p2[cut:]])
+def ga_breed(population: np.ndarray, fitness: np.ndarray, n_children: int,
+             sigma_g: float, gen: np.random.Generator,
+             rate: float | None = None) -> np.ndarray:
+    """One generation's children, bred one after another from ``gen``.
 
-
-def ga_mutate(child: np.ndarray, sigma_g: float, gen: np.random.Generator,
-              rate: float | None = None) -> np.ndarray:
-    """Gaussian perturbation clamped back into [0,1]^d.
-
-    Default form touches one uniformly chosen coordinate; ``rate``
-    switches to independent per-coordinate mutation.
+    Per child: two roulette parents with weights proportional to the
+    floored fitness, drawn as ``cdf.searchsorted(gen.random(2),
+    side="right")`` (the draw ``Generator.choice`` makes with those
+    weights); a single-point crossover cut from ``gen.integers(1, d)``
+    taking genes [0, cut) from the first parent and the rest from the
+    second; then a Gaussian mutation of one uniformly chosen coordinate,
+    or with ``rate`` of each coordinate independently. The children are
+    clamped into [0,1]^d.
     """
-    child = np.asarray(child, dtype=np.float64).copy()
-    if rate is None:
-        j = int(gen.integers(len(child)))
-        child[j] += sigma_g * gen.standard_normal()
-    else:
-        mask = gen.uniform(size=len(child)) < rate
-        child += sigma_g * gen.standard_normal(len(child)) * mask
-    return np.clip(child, 0.0, 1.0)
-
-
-class _BudgetExhausted(Exception):
-    pass
+    floored = np.maximum(fitness, FITNESS_FLOOR)
+    cdf = (floored / floored.sum()).cumsum()
+    cdf /= cdf[-1]
+    dim = population.shape[1]
+    children = np.empty((n_children, dim))
+    random, integers, normal = gen.random, gen.integers, gen.standard_normal
+    for child in children:
+        i1, i2 = cdf.searchsorted(random(2), side="right").tolist()
+        cut = int(integers(1, dim))
+        child[:cut] = population[i1, :cut]
+        child[cut:] = population[i2, cut:]
+        if rate is None:
+            child[int(integers(dim))] += sigma_g * normal()
+        else:
+            mask = gen.uniform(size=dim) < rate
+            child += sigma_g * normal(dim) * mask
+    return np.clip(children, 0.0, 1.0, out=children)
 
 
 def invert_blackbox(oracle: QueryOracle, target: int,
@@ -316,15 +370,17 @@ def invert_blackbox(oracle: QueryOracle, target: int,
 
     Chromosomes live in [0,1]^d (d from the oracle's input shape unless
     overridden). One query per fitness evaluation, plus one final query
-    reading the best individual's full output vector. A query budget
-    reserves that final query and truncates the search when spent, so the
-    per-class total never exceeds the budget.
+    reading the best individual's full output vector. The initial
+    population and each generation's children are scored in one oracle
+    call each. A query budget reserves that final query and truncates the
+    search when spent: only the prefix of a batch the budget still covers
+    is scored, so the per-class total never exceeds the budget.
 
     When ``history`` is a list, the best population fitness is appended
     once after the initial evaluation and once per completed generation;
-    elitism makes that sequence non-decreasing. A non-finite fitness or
-    readout from the oracle, or a generation that loses the best fitness,
-    raises InversionError.
+    elitism makes that sequence non-decreasing. A non-finite fitness (the
+    first in row order is reported) or readout from the oracle, or a
+    generation that loses the best fitness, raises InversionError.
     """
     cfg = cfg or GAConfig()
     shape = input_shape if input_shape is not None else oracle.input_shape
@@ -334,53 +390,48 @@ def invert_blackbox(oracle: QueryOracle, target: int,
     if dim < 2:
         raise ValueError("chromosomes need at least 2 dimensions")
     gen = rngmod.stream(cfg.seed, rngmod.STREAM_INVERT_BB, target)
-    search_budget = None if cfg.query_budget is None else cfg.query_budget - 1
+    search_budget = np.inf if cfg.query_budget is None else cfg.query_budget - 1
     used = 0
-
-    def evaluate(x: np.ndarray) -> float:
-        nonlocal used
-        if search_budget is not None and used >= search_budget:
-            raise _BudgetExhausted
-        used += 1
-        return ga_fitness(oracle, x.reshape(shape), target)
-
     population = gen.uniform(VALID_LO, VALID_HI, size=(cfg.population, dim))
-    fitness = np.zeros(cfg.population)
     best_x, best_fit = population[0].copy(), -np.inf
-    truncated = False
-    try:
-        for i in range(cfg.population):
-            fitness[i] = evaluate(population[i])
-            if fitness[i] > best_fit:
-                best_fit, best_x = fitness[i], population[i].copy()
+
+    def score(xs: np.ndarray) -> np.ndarray:
+        """Fitness of the prefix of xs the budget covers; tracks the best."""
+        nonlocal used, best_x, best_fit
+        m = int(min(len(xs), search_budget - used))
+        if m == 0:
+            return np.empty(0)
+        fit = oracle(xs[:m].reshape((m,) + tuple(shape)), rows=True)[:, target]
+        used += m
+        bad = np.flatnonzero(~np.isfinite(fit))
+        if bad.size:
+            raise InversionError(f"oracle returned fitness {float(fit[bad[0]])} "
+                                 f"for class {target}")
+        i = int(np.argmax(fit))
+        if fit[i] > best_fit:
+            best_fit, best_x = float(fit[i]), xs[i].copy()
+        return fit
+
+    fitness = score(population)
+    truncated = len(fitness) < cfg.population
+    if not truncated and history is not None:
+        history.append(float(fitness.max()))
+    for g in range(0 if truncated else cfg.generations):
+        elite_idx = np.argsort(-fitness, kind="stable")[:cfg.elite]
+        children = ga_breed(population, fitness, cfg.population - cfg.elite,
+                            ga_sigma(cfg, g), gen, rate=cfg.mutation_rate)
+        child_fit = score(children)
+        if len(child_fit) < len(children):
+            truncated = True
+            break
+        prev_best = fitness.max()
+        population = np.concatenate([population[elite_idx], children])
+        fitness = np.concatenate([fitness[elite_idx], child_fit])
+        if fitness.max() < prev_best:
+            raise InversionError(
+                f"elitism violated for class {target} in generation {g}")
         if history is not None:
             history.append(float(fitness.max()))
-        for g in range(cfg.generations):
-            sigma_g = ga_sigma(cfg, g)
-            elite_idx = np.argsort(-fitness, kind="stable")[:cfg.elite]
-            floored = np.maximum(fitness, FITNESS_FLOOR)
-            weights = floored / floored.sum()
-            children = np.empty((cfg.population - cfg.elite, dim))
-            child_fit = np.empty(cfg.population - cfg.elite)
-            for i in range(len(children)):
-                i1, i2 = gen.choice(cfg.population, size=2, p=weights)
-                cut = int(gen.integers(1, dim))
-                child = ga_crossover(population[i1], population[i2], cut)
-                children[i] = ga_mutate(child, sigma_g, gen,
-                                        rate=cfg.mutation_rate)
-                child_fit[i] = evaluate(children[i])
-                if child_fit[i] > best_fit:
-                    best_fit, best_x = child_fit[i], children[i].copy()
-            prev_best = fitness.max()
-            population = np.concatenate([population[elite_idx], children])
-            fitness = np.concatenate([fitness[elite_idx], child_fit])
-            if fitness.max() < prev_best:
-                raise InversionError(
-                    f"elitism violated for class {target} in generation {g}")
-            if history is not None:
-                history.append(float(fitness.max()))
-    except _BudgetExhausted:
-        truncated = True
     probs = oracle(best_x.reshape(shape))
     used += 1
     if not np.isfinite(probs).all():
@@ -402,8 +453,7 @@ def build_ipv_set(attack: str, target, cfg=None,
     if attack == "wb":
         if not isinstance(target, ModelArtifact):
             raise TypeError("white-box inversion needs the model itself")
-        return [invert_whitebox(target, t, cfg)
-                for t in range(target.spec.n_classes)]
+        return _invert_whitebox_classes(target, range(target.spec.n_classes), cfg)
     if attack == "bb":
         oracle = target if isinstance(target, QueryOracle) else QueryOracle(target)
         n = n_classes if n_classes is not None else oracle.n_classes

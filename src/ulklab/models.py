@@ -185,14 +185,16 @@ class ModelArtifact:
         return ModelArtifact(self.spec, self.layers, params, self.feature_boundary,
                              provenance, self.trainable_from)
 
-    def logits(self, x: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def logits(self, x: np.ndarray, chunk: int = 512, rows: bool = False) -> np.ndarray:
+        """Logits of one sample or a batch; ``rows=True`` runs the batch in
+        autodiff's rows mode, each row bit-equal to that row alone."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == len(self.spec.input_shape):
-            return ad.forward(self.layers, self.params, x).data
+        if rows or x.ndim == len(self.spec.input_shape):
+            return ad.forward(self.layers, self.params, x, rows=rows).data
         return chunked_forward(self.layers, self.params, x, chunk)
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return ad.softmax(self.logits(x))
+    def predict_proba(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
+        return ad.softmax(self.logits(x, rows=rows))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=-1)

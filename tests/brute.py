@@ -107,3 +107,161 @@ def best_two_partition_sse(rows):
         if sse < best - 1e-15:
             best, best_parts = sse, (frozenset(left), frozenset(right))
     return best, best_parts
+
+
+# ---------------------------------------------------------------------------
+# inversion, one restart, one step, one child and one query at a time
+
+
+def _lone_tv(x):
+    return (np.diff(x, axis=0) ** 2).sum() + (np.diff(x, axis=1) ** 2).sum()
+
+
+def _lone_tv_grad(x):
+    dh, dw, dx = np.diff(x, axis=0), np.diff(x, axis=1), np.zeros_like(x)
+    dx[1:, :, :] += 2.0 * dh
+    dx[:-1, :, :] -= 2.0 * dh
+    dx[:, 1:, :] += 2.0 * dw
+    dx[:, :-1, :] -= 2.0 * dw
+    return dx
+
+
+def lone_proba(model, x):
+    """Softmax output for one sample, run as a batch of one (x @ W)."""
+    from ulklab import autodiff as ad
+    return ad.softmax(ad.forward(model.layers, model.params, x[None]).data)[0]
+
+
+def lone_inversion_loss(model, x, target, lam_l2, lam_tv):
+    """CE(M(x), target) + lam_l2*||x||^2 + lam_tv*TV(x) and its input
+    gradient for one sample, through the batch path on a batch of one.
+    A non-finite x raises forward's ValueError."""
+    from ulklab import autodiff as ad
+    out = ad.forward(model.layers, model.params, x[None])
+    loss = ad.softmax_cross_entropy(out, np.array([target]), "sum")
+    dz = ad.softmax(out.data)
+    dz[0, target] -= 1.0
+    grad = out.backward(dz)[0]
+    if lam_l2 > 0.0:
+        loss = loss + (x ** 2).sum() * lam_l2
+        grad = grad + 2.0 * x * lam_l2
+    if lam_tv > 0.0:
+        loss = loss + _lone_tv(x) * lam_tv
+        grad = grad + _lone_tv_grad(x) * lam_tv
+    return float(loss), grad
+
+
+def whitebox_sequential(model, target, cfg):
+    """Best-of-K gradient inversion of one class, restart after restart.
+
+    A restart stops at its first non-finite loss and is dropped; the
+    lowest-CE survivor wins, the first one on ties. Returns (probs,
+    fitness); raises AllInitsDiverged when no restart survives.
+    """
+    from ulklab import inversion as inv
+    from ulklab import rng as rngmod
+    gen = rngmod.stream(cfg.seed, rngmod.STREAM_INVERT_WB, target)
+    best_ce, best_probs = np.inf, None
+    for _ in range(cfg.k_inits):
+        x = gen.standard_normal(model.spec.input_shape)
+        if cfg.box is not None:
+            x = np.clip(x, *cfg.box)
+        converged = True
+        for _ in range(cfg.iterations):
+            value, grad = lone_inversion_loss(model, x, target, cfg.lam_l2, cfg.lam_tv)
+            if not np.isfinite(value):
+                converged = False
+                break
+            x = x - cfg.lr * grad
+            if cfg.box is not None:
+                x = np.clip(x, *cfg.box)
+        if converged:
+            value, _ = lone_inversion_loss(model, x, target, cfg.lam_l2, cfg.lam_tv)
+            converged = bool(np.isfinite(value))
+        if not converged:
+            continue
+        probs = lone_proba(model, x)
+        ce = -np.log(max(float(probs[target]), 1e-300))
+        if ce < best_ce:
+            best_ce, best_probs = ce, probs
+    if best_probs is None:
+        raise inv.AllInitsDiverged(
+            f"all {cfg.k_inits} inits diverged for class {target}")
+    return best_probs, float(best_probs[target])
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def blackbox_sequential(oracle, target, cfg, shape, history=None):
+    """The genetic search child by child, one oracle query per fitness.
+
+    Parents come from ``Generator.choice`` with the floored fitness as
+    weights, crossover and mutation act on one child at a time, and a
+    budget stops the search at the first query it does not cover.
+    Returns (probs, fitness, queries, truncated).
+    """
+    import math
+
+    from ulklab import inversion as inv
+    from ulklab import rng as rngmod
+    dim = int(np.prod(shape))
+    gen = rngmod.stream(cfg.seed, rngmod.STREAM_INVERT_BB, target)
+    budget = None if cfg.query_budget is None else cfg.query_budget - 1
+    used = 0
+
+    def evaluate(x):
+        nonlocal used
+        if budget is not None and used >= budget:
+            raise _BudgetSpent
+        used += 1
+        value = float(oracle(x.reshape(shape))[target])
+        if not math.isfinite(value):
+            raise inv.InversionError(
+                f"oracle returned fitness {value} for class {target}")
+        return value
+
+    population = gen.uniform(0.0, 1.0, size=(cfg.population, dim))
+    fitness = np.zeros(cfg.population)
+    best_x, best_fit = population[0].copy(), -np.inf
+    truncated = False
+    try:
+        for i in range(cfg.population):
+            fitness[i] = evaluate(population[i])
+            if fitness[i] > best_fit:
+                best_fit, best_x = fitness[i], population[i].copy()
+        if history is not None:
+            history.append(float(fitness.max()))
+        for g in range(cfg.generations):
+            sigma_g = cfg.sigma0 * cfg.decay ** g
+            elite_idx = np.argsort(-fitness, kind="stable")[:cfg.elite]
+            floored = np.maximum(fitness, 1e-12)
+            weights = floored / floored.sum()
+            children = np.empty((cfg.population - cfg.elite, dim))
+            child_fit = np.empty(cfg.population - cfg.elite)
+            for i in range(len(children)):
+                i1, i2 = gen.choice(cfg.population, size=2, p=weights)
+                cut = int(gen.integers(1, dim))
+                child = np.concatenate([population[i1][:cut], population[i2][cut:]])
+                if cfg.mutation_rate is None:
+                    j = int(gen.integers(dim))
+                    child[j] += sigma_g * gen.standard_normal()
+                else:
+                    mask = gen.uniform(size=dim) < cfg.mutation_rate
+                    child += sigma_g * gen.standard_normal(dim) * mask
+                children[i] = np.clip(child, 0.0, 1.0)
+                child_fit[i] = evaluate(children[i])
+                if child_fit[i] > best_fit:
+                    best_fit, best_x = child_fit[i], children[i].copy()
+            population = np.concatenate([population[elite_idx], children])
+            fitness = np.concatenate([fitness[elite_idx], child_fit])
+            if history is not None:
+                history.append(float(fitness.max()))
+    except _BudgetSpent:
+        truncated = True
+    probs = oracle(best_x.reshape(shape))
+    used += 1
+    if best_fit == -np.inf:
+        best_fit = float(probs[target])
+    return probs, float(best_fit), used, truncated

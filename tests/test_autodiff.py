@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import brute
 from ulklab import autodiff as ad
 from gradcheck import FD_TOL, check_case, fd_grad, max_rel_err, random_conv_case, random_mlp_case
 
@@ -209,11 +211,45 @@ def test_backward_targets_agree():
 def test_loss_and_grad_input_matches_its_parts():
     rng = np.random.default_rng(21)
     layers, params, x, y = random_mlp_case(rng)
-    loss, grad = ad.loss_and_grad_input(layers, params, x, y, lam_l2=1e-3)
-    assert loss == ad.loss_total(layers, params, x, y, lam_l2=1e-3).item()
-    assert np.array_equal(grad, ad.grad_input(layers, params, x, y, lam_l2=1e-3))
+    xs = np.stack([x, rng.normal(size=x.shape), 0.5 * x])
+    ys = np.array([y, 0, layers[-1].out_dim - 1])
+    loss, grad = ad.loss_and_grad_input(layers, params, xs, ys, lam_l2=1e-3)
+    assert loss.shape == (3,) and grad.shape == xs.shape
+    for row, t, row_loss, row_grad in zip(xs, ys, loss, grad):
+        assert row_loss == ad.loss_total(layers, params, row, t, lam_l2=1e-3).item()
+        assert np.array_equal(row_grad, ad.grad_input(layers, params, row, t, lam_l2=1e-3))
     with pytest.raises(ValueError, match="non-negative"):
         ad.loss_total(layers, params, x, y, lam_l2=-1.0)
+
+
+def test_rows_mode_is_bit_equal_to_lone_rows():
+    # every row of a rows-mode batch carries the bits of that row run alone
+    # as a batch of one: logits, input gradient and the inversion loss
+    rng = np.random.default_rng(22)
+    # one output channel from eight, then one input channel to twelve: the
+    # shapes where one product over all rows changes a row's bits on OpenBLAS
+    deep = [ad.Conv2D(3, 3, 8, 1), ad.Relu(), ad.Conv2D(3, 3, 1, 12), ad.Flatten(),
+            ad.Dense(9 * 9 * 12, 3)]
+    deep_params = [{"K": rng.normal(size=(3, 3, 8, 1)) / 8.0, "b": np.full(1, 0.5)}, {},
+                   {"K": rng.normal(size=(3, 3, 1, 12)) / 3.0, "b": np.zeros(12)}, {},
+                   {"W": rng.normal(size=(972, 3)) / 30.0, "b": np.zeros(3)}]
+    cases = (random_mlp_case(rng), random_conv_case(rng),
+             (deep, deep_params, np.zeros((13, 13, 8)), 0))
+    for layers, params, x, _ in cases:
+        lam_tv = 1e-3 if x.ndim == 3 else 0.0
+        net = SimpleNamespace(layers=layers, params=params)
+        xs = rng.uniform(size=(33,) + x.shape)
+        ys = rng.integers(0, layers[-1].out_dim, size=len(xs))
+        out = ad.forward(layers, params, xs, rows=True)
+        g = rng.normal(size=out.data.shape)
+        dx = out.backward(g)
+        loss, grad = ad.loss_and_grad_input(layers, params, xs, ys, 1e-4, lam_tv)
+        for i in range(len(xs)):
+            lone = ad.forward(layers, params, xs[i:i + 1])
+            assert out.data[i].tobytes() == lone.data[0].tobytes()
+            assert dx[i].tobytes() == lone.backward(g[i:i + 1])[0].tobytes()
+            want_loss, want_grad = brute.lone_inversion_loss(net, xs[i], ys[i], 1e-4, lam_tv)
+            assert (loss[i], grad[i].tobytes()) == (want_loss, want_grad.tobytes())
 
 
 def test_forward_replay_is_bit_identical():
