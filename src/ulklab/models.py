@@ -9,19 +9,23 @@ so every artifact records its boundary index explicitly.
 Checkpoints use a small self-describing container (extension ``.ulkm``):
 
     magic   b"ULKM"
-    version u16 little-endian, currently 1
+    version u16 little-endian, currently 2
     desc    u32 little-endian byte length, then that many bytes of UTF-8
             JSON: spec, feature boundary, provenance, array manifest
     blobs   the arrays from the manifest, concatenated, each row-major
             little-endian float64
+    digest  (version 2 only) the 32-byte SHA-256 of every byte above
 
-Round-trips are bit-exact. Head vectors flatten the final dense layer
+Version 1 files, which end after the blobs, still load. The digest is
+checked after every structural check, so a short or overlong file still
+fails as truncated or malformed. Round-trips are bit-exact. Head vectors flatten the final dense layer
 layer-major: weight matrix first in row-major order, then the bias
 entries. That order is part of the format and must not change.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -32,7 +36,8 @@ from . import autodiff as ad
 from . import rng as rngmod
 
 MAGIC = b"ULKM"
-VERSION = 1
+VERSION = 2
+DIGEST_BYTES = 32
 
 
 class CheckpointError(Exception):
@@ -53,6 +58,10 @@ class CheckpointTruncatedError(CheckpointError):
 
 class CheckpointArrayError(CheckpointError):
     """Declared shapes/byte counts disagree with the payload."""
+
+
+class CheckpointDigestError(CheckpointError):
+    """The stored SHA-256 does not match the header, descriptor and payload."""
 
 
 @dataclass(frozen=True)
@@ -311,13 +320,11 @@ def save_checkpoint(model: ModelArtifact, path: str) -> str:
         "arrays": manifest,
     }
     desc_bytes = json.dumps(desc, sort_keys=True).encode("utf-8")
+    body = b"".join([MAGIC, struct.pack("<H", VERSION),
+                     struct.pack("<I", len(desc_bytes)), desc_bytes, *blobs])
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<I", len(desc_bytes)))
-        fh.write(desc_bytes)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
     return path
 
 
@@ -329,10 +336,12 @@ def load_checkpoint(path: str) -> ModelArtifact:
     if len(raw) < 10:
         raise CheckpointTruncatedError(f"{path}: header truncated at {len(raw)} bytes")
     (version,) = struct.unpack_from("<H", raw, 4)
-    if version != VERSION:
-        raise CheckpointVersionError(f"{path}: version {version}, expected {VERSION}")
+    if version not in (1, VERSION):
+        raise CheckpointVersionError(
+            f"{path}: version {version}, expected 1 or {VERSION}")
+    body_end = len(raw) - (DIGEST_BYTES if version == VERSION else 0)
     (desc_len,) = struct.unpack_from("<I", raw, 6)
-    if len(raw) < 10 + desc_len:
+    if body_end < 10 + desc_len:
         raise CheckpointTruncatedError(f"{path}: descriptor truncated")
     try:
         desc = json.loads(raw[10:10 + desc_len].decode("utf-8"))
@@ -354,7 +363,7 @@ def load_checkpoint(path: str) -> ModelArtifact:
             raise CheckpointArrayError(
                 f"{path}: array layer={entry['layer']} key={entry['key']} declares "
                 f"{entry['nbytes']} bytes but shape {shape} needs {want}")
-        if offset + want > len(raw):
+        if offset + want > body_end:
             raise CheckpointTruncatedError(
                 f"{path}: payload truncated inside layer={entry['layer']} "
                 f"key={entry['key']}")
@@ -365,8 +374,8 @@ def load_checkpoint(path: str) -> ModelArtifact:
                                        f"outside the stack")
         params[entry["layer"]][entry["key"]] = arr
         offset += want
-    if offset != len(raw):
-        raise CheckpointArrayError(f"{path}: {len(raw) - offset} trailing bytes after "
+    if offset != body_end:
+        raise CheckpointArrayError(f"{path}: {body_end - offset} trailing bytes after "
                                    f"declared arrays")
     for i, (got, want_p) in enumerate(zip(params, param_shapes(spec))):
         if set(got) != set(want_p):
@@ -378,5 +387,7 @@ def load_checkpoint(path: str) -> ModelArtifact:
                 raise CheckpointArrayError(
                     f"{path}: layer {i} key {key} shape {got[key].shape} != "
                     f"{want_p[key]}")
+    if version == VERSION and hashlib.sha256(raw[:body_end]).digest() != raw[body_end:]:
+        raise CheckpointDigestError(f"{path}: SHA-256 digest does not match the contents")
     return ModelArtifact(spec, layers, params, boundary, desc["provenance"],
                          desc.get("trainable_from", 0))

@@ -6,9 +6,17 @@ channels the rest of the package depends on:
 
 * audit log: the sorted unique labels of every batch, in order, so a
   training run can prove which classes it ever touched;
-* update ledger: the exact per-layer parameter delta of every batch plus
-  a flag saying whether the batch held any to-be-forgotten sample. The
-  deltas telescope: init + sum(deltas) == final, bit-near-exactly.
+* update ledger: one (batch id, holds-a-forget-sample flag) record per
+  batch plus two running sums of the per-layer parameter deltas, one over
+  every batch and one over the flagged batches only. Both add each
+  batch's delta to zeros in batch order. The full sum telescopes:
+  init + sum == final, bit-near-exactly.
+
+Keeping sums instead of every batch's delta holds a ledger's memory to two
+parameter sets, but a ledger then serves only the forget set it was
+recorded for. Amnesiac unlearning as Graves et al. (AAAI 2021) describe it
+keeps every delta so that any later request can be served; here each
+(seed, forget set) records its own ledger.
 
 When a ledger is recorded against a forget task, batches are built so
 forget-class samples never share a batch with retained samples, and those
@@ -96,28 +104,20 @@ def params_hash(params) -> str:
 class LedgerEntry:
     batch_id: int
     contains_forget: bool
-    deltas: list  # per-layer {key: delta array}; empty dict = untouched layer
+    # Always empty: ledgers keep sums, but perfbench's trace counter reads it.
+    deltas: list = field(default_factory=list)
 
 
 @dataclass
 class UpdateLedger:
+    """Batch records plus the summed per-layer deltas of every batch
+    (``total``) and of the flagged batches (``flagged``); an empty dict
+    marks a frozen layer, and a run of no batches has empty sums."""
     entries: list
     init_params: list
     final_hash: str
-
-    def summed_deltas(self, only_flagged: bool | None = None) -> list:
-        """Sum entry deltas; only_flagged True/False filters by flag."""
-        if not self.entries:
-            return []
-        total = [{k: np.zeros_like(v) for k, v in layer.items()}
-                 for layer in self.entries[0].deltas]
-        for entry in self.entries:
-            if only_flagged is not None and entry.contains_forget != only_flagged:
-                continue
-            for layer_total, layer_delta in zip(total, entry.deltas):
-                for k, v in layer_delta.items():
-                    layer_total[k] += v
-        return total
+    total: list
+    flagged: list
 
 
 @dataclass
@@ -148,7 +148,7 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
     init_snapshot = copy_params(model.params) if record_ledger else None
     if cfg.epochs == 0:
         out = model.with_params(copy_params(model.params), prov)
-        ledger = UpdateLedger([], init_snapshot, params_hash(out.params)) \
+        ledger = UpdateLedger([], init_snapshot, params_hash(out.params), [], []) \
             if record_ledger else None
         return TrainResult(out, audit=[], epoch_losses=[], ledger=ledger)
 
@@ -167,6 +167,10 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
     gen = rngmod.stream(cfg.seed, rngmod.STREAM_BATCH)
     velocity = None
     audit, entries, epoch_losses = [], [], []
+    if record_ledger:
+        total = [{} for _ in range(tf)] + [{k: np.zeros_like(v) for k, v in p.items()}
+                                           for p in live_params]
+        flagged_sum = copy_params(total)
     batch_id = 0
     forget_rows = np.isin(y, sorted(iso)) if iso else np.zeros(n, dtype=bool)
     intro_at = max(cfg.epochs - cfg.intro_epochs, 0) if iso else 0
@@ -186,9 +190,9 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
             batches = _batch_plan(n, cfg.batch_size, gen.permutation(n))
         loss_sum, loss_n = 0.0, 0
         for idx in batches:
+            flagged = iso and bool(forget_rows[idx].any())
             if iso and joint:
-                scale = cfg.intro_lr_scale if forget_rows[idx].any() \
-                    else cfg.intro_rest_scale
+                scale = cfg.intro_lr_scale if flagged else cfg.intro_rest_scale
             else:
                 scale = 1.0
             batch_lr = cfg.lr * scale
@@ -208,9 +212,11 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
             labels = sorted(set(int(v) for v in y[idx]))
             audit.append((batch_id, labels))
             if record_ledger:
-                full_deltas = [{} for _ in range(tf)] + deltas
-                entries.append(LedgerEntry(batch_id, bool(forget_rows[idx].any()),
-                                           full_deltas))
+                entries.append(LedgerEntry(batch_id, flagged))
+                for sums in (total, flagged_sum) if flagged else (total,):
+                    for layer_sum, layer_delta in zip(sums[tf:], deltas):
+                        for k, v in layer_delta.items():
+                            layer_sum[k] += v
             loss_sum += loss * len(idx)
             loss_n += len(idx)
             batch_id += 1
@@ -218,8 +224,8 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
 
     final_params = copy_params(model.params[:tf]) + live_params
     out = model.with_params(final_params, prov)
-    ledger = UpdateLedger(entries, init_snapshot, params_hash(final_params)) \
-        if record_ledger else None
+    ledger = UpdateLedger(entries, init_snapshot, params_hash(final_params),
+                          total, flagged_sum) if record_ledger else None
     return TrainResult(out, audit=audit, epoch_losses=epoch_losses, ledger=ledger)
 
 

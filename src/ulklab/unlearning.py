@@ -41,6 +41,11 @@ class LedgerMismatch(Exception):
     """Ledger does not describe the model it was offered with."""
 
 
+class UnlearningInvariantError(RuntimeError):
+    """A method broke its own contract: retraining batched a forget class,
+    or relabeling kept an original label."""
+
+
 @dataclass
 class UnlearnedModel:
     artifact: ModelArtifact
@@ -86,8 +91,9 @@ def retrain(spec: ModelSpec, d_rest: LabeledDataset, cfg: TrainConfig,
     for _, labels in result.audit:
         bad = set(labels) & task.forget_classes
         if bad:
-            raise AssertionError(f"audit violation: forget classes {sorted(bad)} "
-                                 f"were batched during retraining")
+            raise UnlearningInvariantError(
+                f"audit violation: forget classes {sorted(bad)} "
+                f"were batched during retraining")
     return UnlearnedModel(result.model, "rt", unlearn_config_hash("rt", task, cfg),
                           audit=result.audit,
                           trace={"epoch_losses": result.epoch_losses})
@@ -125,7 +131,7 @@ def random_label(model: ModelArtifact, d_rest: LabeledDataset,
     gen = rngmod.stream(cfg.seed, rngmod.STREAM_UNLEARN)
     new_y = relabel_uniform_wrong(d_unlearn.y, d_unlearn.n_classes, gen)
     if np.any(new_y == d_unlearn.y):
-        raise AssertionError("relabeling reproduced an original label")
+        raise UnlearningInvariantError("relabeling reproduced an original label")
     mixed = LabeledDataset(np.concatenate([d_rest.x, d_unlearn.x]),
                            np.concatenate([d_rest.y, new_y]),
                            d_rest.n_classes, split="rl-mix", filtered=True)
@@ -139,7 +145,7 @@ def random_label(model: ModelArtifact, d_rest: LabeledDataset,
 
 def train_with_ledger(spec: ModelSpec, dataset: LabeledDataset,
                       task: ForgetTask, cfg: TrainConfig) -> TrainResult:
-    """Original training with per-batch deltas recorded and forget batches
+    """Original training with its delta sums recorded and forget batches
     isolated so their updates can be subtracted later."""
     task.validate_against(dataset.n_classes)
     fresh = build(spec, seed=cfg.seed)
@@ -148,14 +154,13 @@ def train_with_ledger(spec: ModelSpec, dataset: LabeledDataset,
                  provenance={"role": "original", "seed": cfg.seed})
 
 
-def _subtract_ledger(model: ModelArtifact, ledger: UpdateLedger,
-                     only_flagged: bool | None = None) -> list:
-    """A copy of the model's parameters minus ``ledger.summed_deltas``
-    (every batch by default), after checking the ledger describes it."""
+def _subtract_ledger(model: ModelArtifact, ledger: UpdateLedger, summed: list) -> list:
+    """A copy of the model's parameters minus ``summed``, one of the
+    ledger's delta sums, after checking the ledger describes the model."""
     if params_hash(model.params) != ledger.final_hash:
         raise LedgerMismatch("ledger final-parameter hash does not match the model")
     params = copy_params(model.params)
-    for layer_params, layer_delta in zip(params, ledger.summed_deltas(only_flagged)):
+    for layer_params, layer_delta in zip(params, summed):
         for k, v in layer_delta.items():
             layer_params[k] -= v
     return params
@@ -164,7 +169,7 @@ def _subtract_ledger(model: ModelArtifact, ledger: UpdateLedger,
 def amnesiac(model: ModelArtifact, ledger: UpdateLedger, task: ForgetTask,
              cfg: TrainConfig) -> UnlearnedModel:
     """Subtract the summed deltas of every flagged batch."""
-    params = _subtract_ledger(model, ledger, only_flagged=True)
+    params = _subtract_ledger(model, ledger, ledger.flagged)
     n_flagged = sum(1 for e in ledger.entries if e.contains_forget)
     prov = {"role": "unlearned", "method": "au", "seed": cfg.seed}
     return UnlearnedModel(model.with_params(params, prov), "au",
@@ -175,7 +180,7 @@ def amnesiac(model: ModelArtifact, ledger: UpdateLedger, task: ForgetTask,
 
 def rollback_all(model: ModelArtifact, ledger: UpdateLedger) -> list:
     """Subtract every ledger delta; telescopes back to the initialization."""
-    return _subtract_ledger(model, ledger)
+    return _subtract_ledger(model, ledger, ledger.total)
 
 
 def negative_gradient(model: ModelArtifact, d_unlearn: LabeledDataset,

@@ -265,3 +265,26 @@ def blackbox_sequential(oracle, target, cfg, shape, history=None):
     if best_fit == -np.inf:
         best_fit = float(probs[target])
     return probs, float(best_fit), used, truncated
+
+
+def ledger_sums_sequential(deltas, flags):
+    """(sum of every batch's deltas, sum of the flagged batches' deltas).
+
+    ``deltas`` holds one per-layer {key: array} list per batch, frozen
+    layers as empty dicts. Each sum starts from zeros and adds the batches
+    in order, the sequence a ledger that stores every delta would run.
+    No batches give two empty sums.
+    """
+    if not deltas:
+        return [], []
+    sums = []
+    for only_flagged in (False, True):
+        total = [{k: np.zeros_like(v) for k, v in layer.items()} for layer in deltas[0]]
+        for batch, flagged in zip(deltas, flags):
+            if only_flagged and not flagged:
+                continue
+            for layer_total, layer_delta in zip(total, batch):
+                for k, v in layer_delta.items():
+                    layer_total[k] += v
+        sums.append(total)
+    return sums[0], sums[1]

@@ -144,10 +144,52 @@ def test_checkpoint_trailing_garbage_rejected(tmp_path):
         models.load_checkpoint(path)
 
 
+def _saved_bytes(tmp_path):
+    path = str(tmp_path / "m.ulkm")
+    m = models.build(models.mlp_spec(3, 2, hidden=4), seed=0)
+    m.provenance["method"] = "rt"
+    models.save_checkpoint(m, path)
+    return path, m, bytearray(open(path, "rb").read())
+
+
+def test_checkpoint_flipped_payload_bit_rejected(tmp_path):
+    path, _, raw = _saved_bytes(tmp_path)
+    raw[-models.DIGEST_BYTES - 3] ^= 0x01    # inside the last array
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(models.CheckpointDigestError):
+        models.load_checkpoint(path)
+
+
+def test_checkpoint_flipped_descriptor_byte_rejected(tmp_path):
+    path, _, raw = _saved_bytes(tmp_path)
+    at = raw.index(b'"method": "rt"') + len(b'"method": "r')
+    raw[at:at + 1] = b"s"                    # still valid JSON, same length
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(models.CheckpointDigestError):
+        models.load_checkpoint(path)
+
+
+def test_checkpoint_version_1_still_loads(tmp_path):
+    path, m, raw = _saved_bytes(tmp_path)
+    assert raw[4:6] == (2).to_bytes(2, "little")
+    v1 = raw[:-models.DIGEST_BYTES]
+    v1[4:6] = (1).to_bytes(2, "little")
+    open(path, "wb").write(bytes(v1))
+    back = models.load_checkpoint(path)
+    assert back.provenance == m.provenance
+    for pa, pb in zip(m.params, back.params):
+        for key in pa:
+            assert pa[key].tobytes() == pb[key].tobytes()
+    open(path, "wb").write(bytes(v1 + b"\x00" * 8))
+    with pytest.raises(models.CheckpointArrayError):
+        models.load_checkpoint(path)
+
+
 def test_checkpoint_errors_are_distinct_classes():
     kinds = {models.CheckpointMagicError, models.CheckpointVersionError,
-             models.CheckpointTruncatedError, models.CheckpointArrayError}
-    assert len(kinds) == 4
+             models.CheckpointTruncatedError, models.CheckpointArrayError,
+             models.CheckpointDigestError}
+    assert len(kinds) == 5
     for k in kinds:
         assert issubclass(k, models.CheckpointError)
 

@@ -1,7 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ulklab import data, models
+import brute
+from ulklab import data, models, training, unlearning as ul
 from ulklab.training import TrainConfig, class_accuracy, params_hash, train
 
 
@@ -65,13 +69,92 @@ def test_ledger_telescopes_to_final_params(small):
     assert params_hash(ledger.init_params) == params_hash(m.params)
     assert ledger.final_hash == params_hash(result.model.params)
     rebuilt = models.copy_params(ledger.init_params)
-    total = ledger.summed_deltas()
-    for layer, delta in zip(rebuilt, total):
+    for layer, delta in zip(rebuilt, ledger.total):
         for k in delta:
             layer[k] += delta[k]
     for got, want in zip(rebuilt, result.model.params):
         for k in got:
             assert np.max(np.abs(got[k] - want[k])) < 1e-9
+
+
+def _sums_bytes(sums):
+    return [{k: v.tobytes() for k, v in layer.items()} for layer in sums]
+
+
+def _minus(params, sums):
+    out = models.copy_params(params)
+    for layer, delta in zip(out, sums):
+        for k, v in delta.items():
+            layer[k] -= v
+    return out
+
+
+@pytest.mark.parametrize("case", ["sgd", "sgd-momentum", "frozen", "zero-epochs",
+                                  "flags-nothing"])
+def test_ledger_sums_match_sequential_oracle(small, monkeypatch, case):
+    ds, spec = small
+    forget = {2, 4}
+    cfg = TrainConfig(epochs=3, seed=8,
+                      optimizer="sgd-momentum" if case == "sgd-momentum" else "sgd")
+    model = models.build(spec, 8)
+    if case == "frozen":
+        model = models.clone_frozen_head_template(model, seed=78)
+    elif case == "zero-epochs":
+        cfg = TrainConfig(epochs=0)
+    elif case == "flags-nothing":
+        ds, _ = data.split_forget(ds, data.ForgetTask(frozenset(forget)))
+    captured = []
+    real_update = training.ad.apply_update
+
+    def recording_update(*args, **kwargs):
+        new_params, deltas = real_update(*args, **kwargs)
+        captured.append([{} for _ in range(model.trainable_from)]
+                        + models.copy_params(deltas))
+        return new_params, deltas
+
+    monkeypatch.setattr(training.ad, "apply_update", recording_update)
+    result = train(model, ds, cfg, record_ledger=True, isolate_classes=forget)
+    ledger = result.ledger
+    flags = [e.contains_forget for e in ledger.entries]
+    assert len(captured) == len(flags) == len(result.audit)
+    assert any(flags) == (case not in ("zero-epochs", "flags-nothing"))
+    want_total, want_flagged = brute.ledger_sums_sequential(captured, flags)
+    assert _sums_bytes(ledger.total) == _sums_bytes(want_total)
+    assert _sums_bytes(ledger.flagged) == _sums_bytes(want_flagged)
+    for got, want in ((ul.rollback_all(result.model, ledger), want_total),
+                      (ul.amnesiac(result.model, ledger,
+                                   data.ForgetTask(frozenset(forget)), cfg).artifact.params,
+                       want_flagged)):
+        assert _sums_bytes(got) == _sums_bytes(_minus(result.model.params, want))
+
+
+def _retained_bytes(make):
+    """Bytes still allocated after ``make()`` returns, with its result held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = make()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_ledger_memory_does_not_grow_with_batches(small):
+    ds, _ = small
+    spec = models.mlp_spec(16, 6, hidden=64)
+    param_bytes = sum(v.nbytes for p in models.build(spec, 0).params for v in p.values())
+
+    def run(epochs):
+        return train(models.build(spec, 5), ds, TrainConfig(epochs=epochs, seed=5),
+                     record_ledger=True, isolate_classes={2})
+
+    short_bytes, short = _retained_bytes(lambda: run(2))
+    long_bytes, long = _retained_bytes(lambda: run(20))
+    per_batch = (long_bytes - short_bytes) / (len(long.audit) - len(short.audit))
+    # the per-batch audit and ledger records, not a stored delta per batch
+    assert per_batch <= 1024 < param_bytes / 10, (per_batch, param_bytes)
 
 
 def test_isolated_batches_are_forget_pure(small):

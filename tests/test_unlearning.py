@@ -88,6 +88,42 @@ def test_rollback_all_recovers_initialization(bench):
             assert np.max(np.abs(got[k] - want[k])) < 1e-9
 
 
+def test_ledger_subtraction_leaves_the_sums_untouched(bench):
+    _, _, task, cfg, original = bench
+    ledger = original.ledger
+    sums_before = params_hash(ledger.total), params_hash(ledger.flagged)
+    for make in (lambda: ul.rollback_all(original.model, ledger),
+                 lambda: ul.amnesiac(original.model, ledger, task, cfg).artifact.params):
+        assert params_hash(make()) == params_hash(make())
+    assert sums_before == (params_hash(ledger.total), params_hash(ledger.flagged))
+
+
+def test_retrain_audit_violation_raises_typed_error(bench, monkeypatch):
+    ds, spec, task, cfg, _ = bench
+    d_rest, _ = data.split_forget(ds, task)
+    real_train = ul.train
+
+    def leaky_train(*args, **kwargs):
+        result = real_train(*args, **kwargs)
+        result.audit.append((len(result.audit), sorted(task.forget_classes)))
+        return result
+
+    monkeypatch.setattr(ul, "train", leaky_train)
+    with pytest.raises(ul.UnlearningInvariantError,
+                       match=r"audit violation: forget classes \[2\] were batched"):
+        ul.retrain(spec, d_rest, TrainConfig(epochs=1, seed=cfg.seed), task)
+    assert issubclass(ul.UnlearningInvariantError, RuntimeError)
+
+
+def test_relabel_keeping_a_label_raises_typed_error(bench, monkeypatch):
+    ds, _, task, cfg, original = bench
+    d_rest, d_unlearn = data.split_forget(ds, task)
+    monkeypatch.setattr(ul, "relabel_uniform_wrong", lambda y, n, gen: y.copy())
+    with pytest.raises(ul.UnlearningInvariantError,
+                       match="relabeling reproduced an original label"):
+        ul.random_label(original.model, d_rest, d_unlearn, cfg, task)
+
+
 def test_negative_gradient_matches_closed_form_single_step():
     # dense 1->2, W=[[0, w]], sample (x, y=1): one ascent step gives
     # W01' = w + lr*(p1-1)*x, W00' = lr*p0*x, b' = lr*[p0, p1-1]
