@@ -11,8 +11,7 @@ Two modes share the layers. Batch mode (training, evaluation) takes one
 matrix product over all rows. Rows mode treats the leading axis as
 independent samples and gives each row its own product, so every row's
 bits equal those of that row run alone; one product over all rows would
-change them. A single sample runs as one row of rows mode, and replays
-are bit-identical (single-threaded numpy).
+change them. Replays are bit-identical (single-threaded numpy).
 """
 
 from __future__ import annotations
@@ -80,6 +79,7 @@ class Conv2D:
 
     def forward(self, p, x, i, rows):
         kh, kw, cin, cout = p["K"].shape
+        x = x[None] if x.ndim == 3 else x  # one (H,W,C) image: a batch of one
         if x.ndim != 4 or x.shape[3] != cin:
             raise ShapeMismatch(f"layer {i} (conv2d): expected NHWC input with {cin} "
                                 f"channels, got shape {x.shape}")
@@ -153,56 +153,44 @@ class Flatten:
 
 
 class Tensor:
-    """Output of ``forward``: ``data`` plus each layer's cache. A single sample
-    gets a leading axis of 1, which the logits (when 2-D) and the input
-    gradient drop."""
+    """Output of ``forward``: ``data`` plus each layer's cache."""
 
-    __slots__ = ("data", "_layers", "_params", "_caches", "_rows", "_single")
+    __slots__ = ("data", "_layers", "_params", "_caches", "_rows")
 
-    def __init__(self, data, layers, params, caches, rows: bool, single: bool):
+    def __init__(self, data, layers, params, caches, rows: bool):
         self.data, self._layers, self._params = data, layers, params
-        self._caches, self._rows, self._single = caches, rows, single
+        self._caches, self._rows = caches, rows
 
     def backward(self, g, wrt: str = "input"):
         """Backpropagate ``g`` = d(loss)/d(data) through the layers in reverse.
         ``wrt="input"`` returns d(loss)/d(x) shaped like x, ``"params"``
-        per-layer dicts shaped like ``params``, ``"both"`` the pair."""
-        if wrt not in ("input", "params", "both"):
-            raise ValueError(f"wrt must be 'input', 'params' or 'both', got {wrt!r}")
+        per-layer dicts shaped like ``params``."""
+        if wrt not in ("input", "params"):
+            raise ValueError(f"wrt must be 'input' or 'params', got {wrt!r}")
         grads = None if wrt == "input" else [{} for _ in self._layers]
-        if self._single and self.data.ndim == 1:
-            g = g[None]
         for i in range(len(self._layers) - 1, -1, -1):
             g = self._layers[i].backward(self._params[i], self._caches[i], g,
-                                         grads and grads[i], i > 0 or wrt != "params",
+                                         grads and grads[i], i > 0 or grads is None,
                                          self._rows)
-        if wrt == "params":
-            return grads
-        g = g[0] if self._single else g
-        return g if grads is None else (g, grads)
+        return g if grads is None else grads
 
 
 def forward(layers, params, x, rows: bool = False) -> Tensor:
     """Run the layer stack on x; the returned Tensor holds the logits.
 
     ``params`` is aligned with ``layers``: {"W","b"} for dense, {"K","b"}
-    for conv, {} for the rest. x is one sample (a vector, or an (H,W,C)
-    image for a stack that starts with an image layer) or a batch along
-    the leading axis; ``rows=True`` runs the batch in rows mode. A
-    non-finite x raises ValueError; parameters are unchecked, so a
-    diverged model yields non-finite logits."""
+    for conv, {} for the rest. x is a batch along the leading axis;
+    ``rows=True`` runs it in rows mode. A non-finite x raises ValueError;
+    parameters are unchecked, so a diverged model yields non-finite
+    logits."""
     h = np.ascontiguousarray(x, dtype=np.float64)
     if not np.all(np.isfinite(h)):
         raise ValueError(NON_FINITE_INPUT)
-    image_first = isinstance(layers[0], (Conv2D, MaxPool2, Flatten))
-    single = not rows and h.ndim == (3 if image_first else 1)
-    rows = rows or single
-    h = h[None] if single else h
     caches = []
     for i, (layer, p) in enumerate(zip(layers, params)):
         h, cache = layer.forward(p, h, i, rows)
         caches.append(cache)
-    return Tensor(h[0] if single and h.ndim == 2 else h, layers, params, caches, rows, single)
+    return Tensor(h, layers, params, caches, rows)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -314,11 +302,10 @@ def grad_input(layers, params, x, y_target: int, lam_l2: float = 0.0,
                                lam_l2, lam_tv)[1][0]
 
 
-def grad_params(layers, params, batch_x, batch_y, reduction: str = "mean"
-                ) -> tuple[GradientBundle, float]:
+def grad_params(layers, params, batch_x, batch_y) -> tuple[GradientBundle, float]:
     """Mean-CE gradient over a batch w.r.t. every layer parameter."""
     out = forward(layers, params, batch_x)
-    loss, dz = _cross_entropy(out.data, batch_y, reduction)
+    loss, dz = _cross_entropy(out.data, batch_y, "mean")
     return GradientBundle(param_grads=out.backward(dz, wrt="params")), loss.item()
 
 

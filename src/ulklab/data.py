@@ -9,6 +9,7 @@ the black-box attack searches.
 from __future__ import annotations
 
 import struct
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +25,10 @@ UNLEARN_CANDIDATE = "unlearn-candidate"
 
 class IdxFormatError(ValueError):
     """IDX byte stream violates the format contract."""
+
+
+class DatasetFormatError(ValueError):
+    """A dataset archive is truncated, corrupted or not one at all."""
 
 
 @dataclass(frozen=True)
@@ -208,12 +213,21 @@ def save_dataset(dataset: LabeledDataset, path: str) -> str:
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    with np.load(path, allow_pickle=False) as archive:
-        missing = {"x", "y", "n_classes", "split", "filtered"} \
-            - set(archive.files)
-        if missing:
-            raise ValueError(f"{path}: missing arrays {sorted(missing)}")
-        return LabeledDataset(archive["x"], archive["y"],
-                              int(archive["n_classes"]),
-                              str(archive["split"].item()),
-                              bool(archive["filtered"]))
+    """Read a ``save_dataset`` archive. A truncated, corrupted or foreign
+    file raises DatasetFormatError; a missing one raises OSError."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                missing = sorted({"x", "y", "n_classes", "split", "filtered"}
+                                 - set(archive.files))
+                if not missing:
+                    x, y = archive["x"], archive["y"]
+                    meta = (int(archive["n_classes"]), str(archive["split"].item()),
+                            bool(archive["filtered"]))
+        except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError,
+                OSError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{path}: not a readable dataset archive "
+                                     f"({type(exc).__name__}: {exc})") from exc
+    if missing:
+        raise DatasetFormatError(f"{path}: missing arrays {missing}")
+    return LabeledDataset(x, y, *meta)

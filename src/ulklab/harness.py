@@ -12,6 +12,7 @@ seed list; it exists so wrappers can fan one config out across workers.
 """
 
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from . import reports as rep
 from . import rng as rngmod
 from . import screening as scr
 from .benchmark import BundleCache
+from .data import ForgetTask
 from .unlearning import METHODS
 
 DEFAULTS = {
@@ -107,12 +109,21 @@ def resolve_config(overrides=None, env=None) -> dict:
             f"{cfg['attack']}; choose from {CRITERIA[cfg['attack']]}")
     parse_ids(cfg["unlearn.forget"], "unlearn.forget")
     parse_ids(cfg["seeds"], "seeds")
-    float(cfg["screen.alpha"])
-    if int(cfg["attack.budget"]) < 0:
-        raise ValueError("attack.budget cannot be negative")
-    if int(cfg["sweep.max_forget"]) < 0:
-        raise ValueError("sweep.max_forget cannot be negative")
+    if not math.isfinite(_parse_value(cfg, "screen.alpha", float)):
+        raise ValueError(f"screen.alpha must be finite, got {cfg['screen.alpha']!r}")
+    for key in ("attack.budget", "sweep.max_forget"):
+        if _parse_value(cfg, key, int) < 0:
+            raise ValueError(f"{key} cannot be negative")
     return cfg
+
+
+def _parse_value(cfg: dict, key: str, kind):
+    """``kind(cfg[key])``; a parse failure names the key."""
+    try:
+        return kind(cfg[key])
+    except ValueError:
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {cfg[key]!r}") from None
 
 
 def canonical_config(cfg: dict) -> str:
@@ -123,12 +134,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_config(cfg).encode()).hexdigest()[:12]
 
 
-def random_guess_predict(n_classes: int, seed: int,
-                         p: float = GUESS_P) -> frozenset:
-    """Flag each class independently with probability p; the no-signal
-    baseline any real attack has to beat."""
+def random_guess_predict(n_classes: int, seed: int) -> frozenset:
+    """Flag each class independently with probability ``GUESS_P``; the
+    no-signal baseline any real attack has to beat."""
     gen = rngmod.stream(seed, rngmod.STREAM_SCREEN)
-    mask = gen.uniform(size=n_classes) < p
+    mask = gen.uniform(size=n_classes) < GUESS_P
     return frozenset(int(i) for i in mask.nonzero()[0])
 
 
@@ -195,6 +205,8 @@ def run_experiment(overrides=None, out_root: str = ".",
         forget_sets = [frozenset(range(n)) for n in range(1, max_sweep + 1)]
     else:
         forget_sets = [frozenset(parse_ids(cfg["unlearn.forget"], "unlearn.forget"))]
+    for forget in forget_sets:
+        ForgetTask(forget).validate_against(cache.bench.n_classes)
 
     run_dir = os.path.join(out_root, f"run-{h}")
     os.makedirs(run_dir, exist_ok=True)
@@ -203,9 +215,6 @@ def run_experiment(overrides=None, out_root: str = ".",
         for seed in seeds:
             bundle = cache.get(seed, forget)
             n_classes = bundle.bench.n_classes
-            if max(forget) >= n_classes:
-                raise ValueError(f"forget ids {sorted(forget)} outside "
-                                 f"[0, {n_classes})")
             for method in methods:
                 run_id = f"{h}:{method}-n{len(forget)}-s{seed}"
                 t0 = time.perf_counter()

@@ -158,6 +158,10 @@ class InvertedPredictionVector:
     truncated: bool = False
 
     def __post_init__(self):
+        if not np.isfinite(self.probs).all():
+            raise ValueError("probs must be finite")
+        if (self.probs < 0.0).any() or (self.probs > 1.0).any():
+            raise ValueError("probs must lie in [0, 1]")
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probs sum to {total}, not a distribution")

@@ -38,6 +38,7 @@ from . import rng as rngmod
 MAGIC = b"ULKM"
 VERSION = 2
 DIGEST_BYTES = 32
+FORWARD_CHUNK = 512  # rows per batch-mode forward pass; bounds its memory
 
 
 class CheckpointError(Exception):
@@ -160,10 +161,11 @@ def copy_params(params):
     return [{k: v.copy() for k, v in p.items()} for p in params]
 
 
-def chunked_forward(layers, params, x: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """The stack's output on a batch ``x``, run ``chunk`` rows at a time."""
-    outs = [ad.forward(layers, params, x[i:i + chunk]).data
-            for i in range(0, x.shape[0], chunk)]
+def chunked_forward(layers, params, x: np.ndarray) -> np.ndarray:
+    """The stack's output on a batch ``x``, run ``FORWARD_CHUNK`` rows at a
+    time."""
+    outs = [ad.forward(layers, params, x[i:i + FORWARD_CHUNK]).data
+            for i in range(0, x.shape[0], FORWARD_CHUNK)]
     return np.concatenate(outs, axis=0)
 
 
@@ -194,13 +196,16 @@ class ModelArtifact:
         return ModelArtifact(self.spec, self.layers, params, self.feature_boundary,
                              provenance, self.trainable_from)
 
-    def logits(self, x: np.ndarray, chunk: int = 512, rows: bool = False) -> np.ndarray:
+    def logits(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
         """Logits of one sample or a batch; ``rows=True`` runs the batch in
-        autodiff's rows mode, each row bit-equal to that row alone."""
+        autodiff's rows mode, each row bit-equal to that row alone. One
+        sample runs as a one-row batch in rows mode."""
         x = np.asarray(x, dtype=np.float64)
-        if rows or x.ndim == len(self.spec.input_shape):
-            return ad.forward(self.layers, self.params, x, rows=rows).data
-        return chunked_forward(self.layers, self.params, x, chunk)
+        if x.ndim == len(self.spec.input_shape):
+            return ad.forward(self.layers, self.params, x[None], rows=True).data[0]
+        if rows:
+            return ad.forward(self.layers, self.params, x, rows=True).data
+        return chunked_forward(self.layers, self.params, x)
 
     def predict_proba(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
         return ad.softmax(self.logits(x, rows=rows))
@@ -259,7 +264,6 @@ def clone_frozen_head_template(target: ModelArtifact, seed: int,
 class ParameterVector:
     values: np.ndarray
     source: str
-    head_only: bool = True
 
 
 def source_id(prov: dict) -> str:
@@ -271,30 +275,12 @@ def source_id(prov: dict) -> str:
     return ":".join(bits)
 
 
-def head_vector(model: ModelArtifact, include_bias: bool = True) -> ParameterVector:
+def head_vector(model: ModelArtifact) -> ParameterVector:
     """Flatten the classifier head: row-major weights, then biases."""
     head = model.params[model.feature_boundary]
-    parts = [head["W"].ravel(order="C")]
-    if include_bias:
-        parts.append(head["b"].ravel(order="C"))
-    return ParameterVector(np.concatenate(parts), source_id(model.provenance),
-                           head_only=True)
-
-
-def unflatten_head(model: ModelArtifact, vector: np.ndarray,
-                   include_bias: bool = True) -> dict:
-    layer = model.layers[model.feature_boundary]
-    n_w = layer.in_dim * layer.out_dim
-    expected = n_w + (layer.out_dim if include_bias else 0)
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (expected,):
-        raise ValueError(f"head vector length {vector.shape} != expected ({expected},)")
-    out = {"W": vector[:n_w].reshape(layer.in_dim, layer.out_dim)}
-    if include_bias:
-        out["b"] = vector[n_w:].copy()
-    else:
-        out["b"] = model.params[model.feature_boundary]["b"].copy()
-    return out
+    return ParameterVector(np.concatenate([head["W"].ravel(order="C"),
+                                           head["b"].ravel(order="C")]),
+                           source_id(model.provenance))
 
 
 # ---------------------------------------------------------------------------

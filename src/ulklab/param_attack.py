@@ -149,7 +149,6 @@ def _train_heads(feats: np.ndarray, w: np.ndarray, b: np.ndarray,
     k = feats.shape[1]
     gen = rngmod.stream(cfg.seed, rngmod.STREAM_BATCH)
     step = -1.0 * cfg.lr
-    vel_w = vel_b = None
     for _ in range(cfg.epochs):
         order = gen.permutation(k)
         for lo in range(0, k, cfg.batch_size):
@@ -159,41 +158,24 @@ def _train_heads(feats: np.ndarray, w: np.ndarray, b: np.ndarray,
             dz /= x.shape[1]
             g_w = np.swapaxes(x, 1, 2) @ dz
             g_b = dz.sum(axis=1)
-            if cfg.optimizer == "sgd-momentum":
-                if vel_w is None:
-                    vel_w, vel_b = np.zeros_like(g_w), np.zeros_like(g_b)
-                for vel, g in ((vel_w, g_w), (vel_b, g_b)):
-                    vel *= cfg.momentum
-                    vel += g
-                    np.multiply(vel, step, out=g)
-            else:
-                g_w *= step
-                g_b *= step
+            g_w *= step
+            g_b *= step
             w += g_w
             b += g_b
 
 
-def aux_config(seed: int, epochs: int = AUX_EPOCHS, lr: float = AUX_LR,
-               batch_size: int = DEFAULT_SUBSET_SIZE) -> TrainConfig:
-    return TrainConfig(epochs=epochs, lr=lr, batch_size=batch_size, seed=seed)
+def aux_config(seed: int) -> TrainConfig:
+    return TrainConfig(epochs=AUX_EPOCHS, lr=AUX_LR,
+                       batch_size=DEFAULT_SUBSET_SIZE, seed=seed)
 
 
 def _label_of(head: AuxHead) -> int:
     return 1 if head.role == UNLEARN_CANDIDATE else 0
 
 
-def dot_features(w_target: ParameterVector, aux: list,
-                 cosine: bool = False) -> DotFeatureSet:
+def dot_features(w_target: ParameterVector, aux: list) -> DotFeatureSet:
     """One scalar row per auxiliary head: its dot product with the target."""
-    wt = w_target.values
-    if cosine:
-        wt = wt / np.linalg.norm(wt)
-    values = []
-    for head in aux:
-        wa = head.vector.values
-        if cosine:
-            wa = wa / np.linalg.norm(wa)
-        values.append(float(wt @ wa))
+    values = [float(w_target.values @ head.vector.values) for head in aux]
     return DotFeatureSet(np.asarray(values),
                          np.asarray([_label_of(h) for h in aux]),
                          np.asarray([h.class_id for h in aux]),
@@ -498,7 +480,6 @@ def param_dot_attack(target: ModelArtifact, dataset: LabeledDataset,
                      task: ForgetTask, seed: int, screen: str = "youden",
                      k: int = DEFAULT_SUBSET_SIZE,
                      m_models: int = DEFAULT_MODELS_PER_CLASS,
-                     cosine: bool = False,
                      aux: list | None = None) -> ParamAttackResult:
     """Dot-product feature attack, screened by Youden cut or 1-D k-means.
 
@@ -510,7 +491,7 @@ def param_dot_attack(target: ModelArtifact, dataset: LabeledDataset,
         raise ValueError(f"unknown screen {screen!r}")
     if aux is None:
         aux = _default_aux(target, dataset, task, seed, k, m_models)
-    feats = dot_features(head_vector(target), aux, cosine=cosine)
+    feats = dot_features(head_vector(target), aux)
     if screen == "youden":
         cut = youden_threshold(feats.values, feats.labels)
         row_pred = cut.predict(feats.values)

@@ -20,6 +20,8 @@ from .inversion import InvertedPredictionVector
 CSV_COLUMNS = ("run_id", "dataset", "model", "unlearn_method", "attack",
                "criterion", "n_forget", "predicted", "truth", "asr",
                "per_class", "seed", "config_hash", "wall_time")
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_COVERAGE = 0.95
 
 
 def _check_ids(ids, n_classes: int, what: str) -> frozenset:
@@ -154,18 +156,16 @@ def mean_asr(reports) -> float:
     return float(np.mean([r.asr for r in reports]))
 
 
-def bootstrap_mean(values, n_resamples: int = 2000, seed: int = 0,
-                   coverage: float = 0.95):
-    """Percentile bootstrap interval for the mean of ``values``."""
+def bootstrap_mean(values, seed: int = 0):
+    """Percentile bootstrap interval, at ``BOOTSTRAP_COVERAGE``, for the
+    mean of ``values``."""
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         raise ValueError("bootstrap needs at least two values")
-    if not 0 < coverage < 1:
-        raise ValueError("coverage must lie in (0, 1)")
     gen = np.random.default_rng(seed)
-    idx = gen.integers(0, values.size, size=(n_resamples, values.size))
+    idx = gen.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
-    tail = 100.0 * (1.0 - coverage) / 2.0
+    tail = 100.0 * (1.0 - BOOTSTRAP_COVERAGE) / 2.0
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     return float(lo), float(hi)
 

@@ -79,6 +79,8 @@ def threshold_screen(values, targets, thr_alpha: float = 1.0) -> ThresholdReport
         raise ValueError("need one value per target")
     if len(values) < 2:
         raise ValueError("screening needs at least two classes")
+    if not np.isfinite(thr_alpha):
+        raise ValueError(f"thr_alpha must be finite, got {thr_alpha}")
     mu = float(values.mean())
     sigma = float(values.std())
     theta = mu - thr_alpha * sigma

@@ -1,8 +1,8 @@
 """Seeded minibatch training with batch audit logs and update ledgers.
 
-The trainer is deliberately plain: shuffled minibatch SGD (optionally with
-momentum), full determinism from the config seed, and two bookkeeping
-channels the rest of the package depends on:
+The trainer is deliberately plain: shuffled minibatch SGD, full
+determinism from the config seed, and two bookkeeping channels the rest
+of the package depends on:
 
 * audit log: the sorted unique labels of every batch, in order, so a
   training run can prove which classes it ever touched;
@@ -42,8 +42,6 @@ from . import rng as rngmod
 from .data import LabeledDataset
 from .models import ModelArtifact, chunked_forward, copy_params
 
-OPTIMIZERS = ("sgd", "sgd-momentum")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -63,8 +61,6 @@ class TrainConfig:
     lr: float = 0.1
     batch_size: int = 32
     seed: int = 0
-    optimizer: str = "sgd"
-    momentum: float = 0.9
     intro_epochs: int = 2
     intro_lr_scale: float = 0.3
     intro_rest_scale: float = 0.1
@@ -76,8 +72,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.intro_epochs < 1:
             raise ValueError(f"intro_epochs must be >= 1, got {self.intro_epochs}")
         if self.intro_lr_scale <= 0:
@@ -165,7 +159,6 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
     y = dataset.y
     n = len(dataset)
     gen = rngmod.stream(cfg.seed, rngmod.STREAM_BATCH)
-    velocity = None
     audit, entries, epoch_losses = [], [], []
     if record_ledger:
         total = [{} for _ in range(tf)] + [{k: np.zeros_like(v) for k, v in p.items()}
@@ -198,17 +191,8 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
             batch_lr = cfg.lr * scale
             bundle, loss = ad.grad_params(live_layers, live_params,
                                           inputs[idx], y[idx])
-            if cfg.optimizer == "sgd-momentum":
-                if velocity is None:
-                    velocity = [{k: np.zeros_like(v) for k, v in g.items()}
-                                for g in bundle.param_grads]
-                for vel, g in zip(velocity, bundle.param_grads):
-                    for k in vel:
-                        vel[k] = cfg.momentum * vel[k] + g[k]
-                step_grads = velocity
-            else:
-                step_grads = bundle.param_grads
-            live_params, deltas = ad.apply_update(live_params, step_grads, batch_lr)
+            live_params, deltas = ad.apply_update(live_params, bundle.param_grads,
+                                                  batch_lr)
             labels = sorted(set(int(v) for v in y[idx]))
             audit.append((batch_id, labels))
             if record_ledger:

@@ -61,11 +61,12 @@ class UnlearnedModel:
 
 def unlearn_config_hash(method: str, task: ForgetTask, cfg: TrainConfig,
                         **extra) -> str:
+    # a constant field, kept so that hashes recorded earlier still match
     fields = {
         "method": method,
         "forget": ",".join(str(c) for c in sorted(task.forget_classes)),
         "epochs": cfg.epochs, "lr": cfg.lr, "batch_size": cfg.batch_size,
-        "seed": cfg.seed, "optimizer": cfg.optimizer,
+        "seed": cfg.seed, "optimizer": "sgd",
     }
     fields.update(extra)
     canon = ";".join(f"{k}={fields[k]}" for k in sorted(fields))

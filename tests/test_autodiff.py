@@ -198,14 +198,13 @@ def test_backward_targets_agree():
     layers, params, x, y = random_mlp_case(rng)
     out = ad.forward(layers, params, x[None])
     g = rng.normal(size=out.data.shape)
-    dx, grads = out.backward(g, wrt="both")
-    assert np.array_equal(dx, out.backward(g))
-    for got, want in zip(grads, out.backward(g, wrt="params")):
-        assert got.keys() == want.keys()
-        assert all(np.array_equal(got[k], want[k]) for k in got)
-    assert dx.shape == (1, x.size)
-    with pytest.raises(ValueError, match="wrt"):
-        out.backward(g, wrt="logits")
+    assert out.backward(g).shape == (1, x.size)
+    grads = out.backward(g, wrt="params")
+    assert [{k: v.shape for k, v in p.items()} for p in grads] == \
+        [{k: v.shape for k, v in p.items()} for p in params]
+    for wrt in ("logits", "both"):
+        with pytest.raises(ValueError, match="wrt"):
+            out.backward(g, wrt=wrt)
 
 
 def test_loss_and_grad_input_matches_its_parts():

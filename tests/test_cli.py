@@ -154,6 +154,28 @@ def test_screen_corrupt_csv_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, args, message", [
+    ("1,-0.5,1.5,1.5,0.5,0", [], "line 3: probs must lie in [0, 1]"),
+    ("1,nan,0.5,nan,0.5,0", [], "line 3: probs must be finite"),
+    ("1,0.3,0.7,0.7,0.5,0", ["--alpha", "nan"], "thr_alpha must be finite"),
+], ids=["out-of-range", "nan", "alpha-nan"])
+def test_screen_rejects_impossible_input(tmp_path, capsys, row, args, message):
+    path = tmp_path / "ipv.csv"
+    path.write_text(f"class,p0,p1,max_prob,fitness,queries\n0,0.6,0.4,0.6,0.6,0\n{row}\n")
+    assert cli.main(["screen", "--ipv", str(path), "--criterion", "threshold",
+                     *args]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_train_on_corrupt_dataset_fails_cleanly(walk, tmp_path, capsys):
+    raw = open(walk["data"], "rb").read()
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(raw[:len(raw) // 2])
+    assert cli.main(["train", "--data", str(bad), "--out",
+                     str(tmp_path / "m.ulkm")]) == 1
+    assert "not a readable dataset archive" in capsys.readouterr().err
+
+
 def test_run_and_report_round_trip(tmp_path, capsys):
     code = cli.main(["run", "--set", "attack=guess",
                      "--set", "screen.criterion=none",

@@ -137,3 +137,29 @@ def test_class_subset_role_validation():
     assert flipped.role == data.UNLEARN_CANDIDATE
     with pytest.raises(ValueError, match="role"):
         data.ClassSubset(0, np.zeros((2, 3)), role="other")
+
+
+def test_load_dataset_rejects_truncated_and_bit_flipped_archives(tmp_path):
+    ds = data.gen_blobs(3, 4, 2, separation=4.0, seed=1)
+    raw = open(data.save_dataset(ds, str(tmp_path / "ok.npz")), "rb").read()
+    want = (ds.x.tobytes(), ds.y.tobytes(), ds.n_classes, ds.split, ds.filtered)
+    cases = [raw[:cut] for cut in range(0, len(raw), 7)]
+    for off in range(0, len(raw), 3):
+        flipped = bytearray(raw)
+        flipped[off] ^= 1 << (off % 8)
+        cases.append(bytes(flipped))
+    bad = tmp_path / "bad.npz"
+    rejected = 0
+    for blob in cases:
+        bad.write_bytes(blob)
+        try:
+            got = data.load_dataset(str(bad))
+        except data.DatasetFormatError:
+            rejected += 1
+            continue
+        # zip timestamps are not checked, so a flip there loads unchanged
+        assert (got.x.tobytes(), got.y.tobytes(), got.n_classes, got.split,
+                got.filtered) == want
+    assert rejected > len(cases) // 2
+    with pytest.raises(FileNotFoundError):
+        data.load_dataset(str(tmp_path / "absent.npz"))

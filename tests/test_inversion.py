@@ -77,6 +77,11 @@ def test_ipv_validates_distribution_and_peak():
         inv.InvertedPredictionVector(0, good, 0.3, 0.2, 0)
     with pytest.raises(ValueError):
         inv.InvertedPredictionVector(0, good, 0.5, 0.2, -1)
+    # sums to 1 but is no distribution
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        inv.InvertedPredictionVector(0, np.array([-0.5, 1.5]), 1.5, 0.2, 0)
+    with pytest.raises(ValueError, match="finite"):
+        inv.InvertedPredictionVector(0, np.array([np.nan, 0.5]), np.nan, 0.2, 0)
 
 
 def test_ipv_probs_are_frozen():

@@ -115,8 +115,6 @@ def test_bootstrap_mean_basics():
     assert (lo, hi) == again
     with pytest.raises(ValueError):
         rep.bootstrap_mean([1.0])
-    with pytest.raises(ValueError):
-        rep.bootstrap_mean([1.0, 2.0], coverage=1.0)
 
 
 def test_bootstrap_lower_bound_separates_signal_from_chance():
@@ -161,6 +159,17 @@ def test_ipv_csv_header_and_row_errors(tmp_path):
     path2.write_text("\n".join(corrupt) + "\n")
     with pytest.raises(ValueError, match="line 2"):
         rep.read_ipv_csv(str(path2))
+
+
+@pytest.mark.parametrize("row, match", [
+    ("1,-0.5,1.5,1.5,0.5,0", r"line 3: probs must lie in \[0, 1\]"),
+    ("1,nan,0.5,nan,0.5,0", "line 3: probs must be finite"),
+], ids=["out-of-range", "nan"])
+def test_ipv_csv_rejects_impossible_probabilities(tmp_path, row, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"class,p0,p1,max_prob,fitness,queries\n0,0.6,0.4,0.6,0.6,0\n{row}\n")
+    with pytest.raises(ValueError, match=match):
+        rep.read_ipv_csv(str(path))
 
 
 def test_ipv_csv_rejects_mixed_class_counts(tmp_path):

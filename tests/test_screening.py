@@ -93,6 +93,12 @@ def test_threshold_screen_rejects_bad_shapes():
         scr.threshold_screen([0.5], [0])
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_threshold_screen_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="thr_alpha must be finite"):
+        scr.threshold_screen([0.5, 0.9], [0, 1], thr_alpha=alpha)
+
+
 def test_threshold_criterion_reads_peaks_by_default():
     ipvs = [make_ipv(t, sharp_row(t)) for t in range(9)]
     ipvs.append(make_ipv(9, np.full(10, 0.1)))

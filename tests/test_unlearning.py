@@ -193,3 +193,13 @@ def test_unlearned_model_records_method_and_hash(bench):
     assert um.config_hash == ul.unlearn_config_hash("rt", task, cfg)
     other = ul.unlearn_config_hash("rt", data.ForgetTask(frozenset({3})), cfg)
     assert um.config_hash != other
+
+
+def test_unlearn_config_hash_is_pinned():
+    # values computed before plain SGD became the only update rule; a change
+    # here orphans every recorded unlearned-model hash
+    task = data.ForgetTask(frozenset({3}))
+    assert ul.unlearn_config_hash("rt", task, TrainConfig()) == "673bb2d2c9650aa0"
+    cfg = TrainConfig(epochs=7, lr=0.05, batch_size=16, seed=4)
+    assert ul.unlearn_config_hash("ft", data.ForgetTask(frozenset({2, 5})), cfg,
+                                  lr_multiplier=0.5) == "b17daf55de3685ce"
