@@ -175,6 +175,15 @@ class Tensor:
         return g if grads is None else grads
 
 
+def _run(layers, params, h, rows: bool) -> Tensor:
+    """``forward`` on a float64 contiguous h, which is not checked."""
+    caches = []
+    for i, (layer, p) in enumerate(zip(layers, params)):
+        h, cache = layer.forward(p, h, i, rows)
+        caches.append(cache)
+    return Tensor(h, layers, params, caches, rows)
+
+
 def forward(layers, params, x, rows: bool = False) -> Tensor:
     """Run the layer stack on x; the returned Tensor holds the logits.
 
@@ -186,11 +195,7 @@ def forward(layers, params, x, rows: bool = False) -> Tensor:
     h = np.ascontiguousarray(x, dtype=np.float64)
     if not np.all(np.isfinite(h)):
         raise ValueError(NON_FINITE_INPUT)
-    caches = []
-    for i, (layer, p) in enumerate(zip(layers, params)):
-        h, cache = layer.forward(p, h, i, rows)
-        caches.append(cache)
-    return Tensor(h, layers, params, caches, rows)
+    return _run(layers, params, h, rows)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -199,18 +204,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _cross_entropy(logits, labels, reduction: str):
-    """(softmax_cross_entropy, its logit gradient softmax - onehot), / N for mean."""
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+def check_labels(labels, width: int) -> None:
+    """Raise ValueError unless every class index lies in [0, width)."""
     y = np.asarray(labels)
-    if np.any(y < 0) or np.any(y >= z.shape[-1]):
-        raise ValueError(f"class index out of range [0,{z.shape[-1]}): {y}")
-    if reduction not in ("mean", "sum", "none"):
-        raise ValueError(f"unknown reduction {reduction!r}")
+    if np.any(y < 0) or np.any(y >= width):
+        raise ValueError(f"class index out of range [0,{width}): {y}")
+
+
+def _cross_entropy(z, y, reduction: str):
+    """(softmax_cross_entropy, its logit gradient softmax - onehot), / N for
+    mean, of float logits z and in-range labels y; neither is checked. The
+    loss and the gradient share one exp."""
     zb, rows = (z[None, :] if z.ndim == 1 else z), (np.arange(y.size), y.reshape(-1))
     m = zb.max(axis=1, keepdims=True)
-    per_sample = np.log(np.exp(zb - m).sum(axis=1)) + m[:, 0] - zb[rows]
-    p = softmax(zb)
+    e = np.exp(zb - m)
+    s = e.sum(axis=1, keepdims=True)
+    per_sample = np.log(s[:, 0]) + m[:, 0] - zb[rows]
+    p = e / s
     p[rows] -= 1.0
     if reduction == "none":
         return per_sample, p.reshape(z.shape)
@@ -224,7 +234,12 @@ def softmax_cross_entropy(logits, labels, reduction: str = "mean") -> np.float64
     """Fused softmax + cross-entropy (log-sum-exp with max subtraction) of an
     array or ``forward`` output; ``labels`` has shape () or (N,) for N rows.
     ``reduction="none"`` gives the per-row losses."""
-    return _cross_entropy(logits, labels, reduction)[0]
+    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels)
+    check_labels(y, z.shape[-1])
+    if reduction not in ("mean", "sum", "none"):
+        raise ValueError(f"unknown reduction {reduction!r}")
+    return _cross_entropy(z, y, reduction)[0]
 
 
 def _tv_rows(x: np.ndarray) -> np.ndarray:
@@ -267,6 +282,8 @@ def _objective(layers, params, x, y, lam_l2, lam_tv):
         raise ValueError("regularization weights must be non-negative")
     x = np.ascontiguousarray(x, dtype=np.float64)
     out = forward(layers, params, x, rows=True)
+    y = np.asarray(y)
+    check_labels(y, out.data.shape[-1])
     loss, dz = _cross_entropy(out.data, y, "none")
     if lam_l2 > 0.0:
         loss = loss + (x ** 2).reshape(len(x), -1).sum(axis=1) * lam_l2
@@ -303,9 +320,12 @@ def grad_input(layers, params, x, y_target: int, lam_l2: float = 0.0,
 
 
 def grad_params(layers, params, batch_x, batch_y) -> tuple[GradientBundle, float]:
-    """Mean-CE gradient over a batch w.r.t. every layer parameter."""
-    out = forward(layers, params, batch_x)
-    loss, dz = _cross_entropy(out.data, batch_y, "mean")
+    """Mean-CE gradient over a batch w.r.t. every layer parameter, and the
+    mean loss. Nothing is checked per call: batch_x must be finite and
+    batch_y within the logits' width, which ``training.train`` checks once
+    per run."""
+    out = _run(layers, params, np.ascontiguousarray(batch_x, dtype=np.float64), False)
+    loss, dz = _cross_entropy(out.data, np.asarray(batch_y), "mean")
     return GradientBundle(param_grads=out.backward(dz, wrt="params")), loss.item()
 
 
@@ -317,7 +337,7 @@ def apply_update(params, grads, lr: float, direction: str = "descent"):
     if direction not in ("descent", "ascent"):
         raise ValueError(f"direction must be 'descent' or 'ascent', got {direction!r}")
     for p, g in zip(params, grads):
-        if set(p) != set(g) or any(g[k].shape != w.shape for k, w in p.items()):
+        if p.keys() != g.keys() or any(g[k].shape != w.shape for k, w in p.items()):
             raise ShapeMismatch(f"update shapes { {k: v.shape for k, v in g.items()} } "
                                 f"!= param shapes { {k: v.shape for k, v in p.items()} }")
     step = (-1.0 if direction == "descent" else 1.0) * lr

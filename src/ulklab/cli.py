@@ -105,6 +105,7 @@ def cmd_attack_param(args) -> int:
     model, dataset = _load_pair(args.model, args.data)
     forget = frozenset(parse_ids(args.forget, "--forget"))
     task = ForgetTask(forget, dataset_id=dataset.split)
+    task.validate_against(dataset.n_classes)
     if args.kind == "param-dot":
         res = pa.param_dot_attack(model, dataset, task, args.seed,
                                   screen=args.screen, k=args.k,

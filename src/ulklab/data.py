@@ -33,7 +33,8 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Samples plus labels; immutable once constructed.
+    """Samples plus labels; immutable once constructed. Every feature
+    must be finite, so training checks no batch for NaN or inf.
 
     ``filtered`` marks splits that intentionally drop classes (a forget
     split, a single-class subset); only unfiltered datasets must cover
@@ -51,6 +52,9 @@ class LabeledDataset:
         object.__setattr__(self, "y", np.ascontiguousarray(self.y, dtype=np.int64))
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError(f"{self.x.shape[0]} samples vs {self.y.shape[0]} labels")
+        if not np.isfinite(self.x).all():
+            bad = ~np.isfinite(self.x).reshape(len(self.x), -1).all(axis=1)
+            raise ValueError(f"non-finite features in row {int(np.flatnonzero(bad)[0])}")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
             raise ValueError(f"labels outside [0,{self.n_classes})")
         if not self.filtered:

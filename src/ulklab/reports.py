@@ -7,10 +7,14 @@ true one over all classes: each class counts as correct when membership
 matches, so both false alarms and misses cost points.
 
 Class-id sets travel as semicolon-joined sorted integers; readers report
-malformed files with 1-based line numbers.
+malformed files with 1-based line numbers. The writers end every row in
+CRLF, and the readers reject a file whose last line has no line ending: a
+file cut inside a row, even inside its final field. A cut exactly at a row
+boundary reads as the rows before it.
 """
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +131,21 @@ def write_reports(path: str, reports) -> str:
     return path
 
 
-def read_reports(path: str) -> list:
+def _read_rows(path: str) -> list:
+    """The CSV rows of ``path``. A last line without a closing line feed
+    marks a file cut inside a row, or between a row's CR and LF, and
+    raises ValueError."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        text = fh.read()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{path} line {len(rows)}: truncated, the line has "
+                         f"no line ending")
+    return rows
+
+
+def read_reports(path: str) -> list:
+    rows = _read_rows(path)
     if not rows or rows[0] != list(CSV_COLUMNS):
         raise ValueError(f"{path} line 1: expected header "
                          f"{','.join(CSV_COLUMNS)}")
@@ -198,8 +214,7 @@ def write_ipv_csv(path: str, ipvs) -> str:
 
 
 def read_ipv_csv(path: str) -> list:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows or len(rows[0]) < 4 or rows[0][0] != "class":
         raise ValueError(f"{path} line 1: not a prediction-vector header")
     n = len(rows[0]) - 4

@@ -134,6 +134,10 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
     ``isolate_classes`` (an iterable of class ids) activates forget-isolated
     batching: those classes train in their own batches and every such batch
     is flagged in the ledger. Epochs == 0 returns the model unchanged.
+    The inputs (a frozen clone's features) and labels are checked once per
+    run, before the first step: a non-finite input raises
+    ValueError(NON_FINITE_INPUT), a label outside the model's classes
+    ValueError; no step checks its batch again.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -157,6 +161,9 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
         live_params = copy_params(model.params)
         inputs = dataset.x
     y = dataset.y
+    if not np.all(np.isfinite(inputs)):
+        raise ValueError(ad.NON_FINITE_INPUT)
+    ad.check_labels(y, model.spec.n_classes)
     n = len(dataset)
     gen = rngmod.stream(cfg.seed, rngmod.STREAM_BATCH)
     audit, entries, epoch_losses = [], [], []
@@ -193,7 +200,7 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
                                           inputs[idx], y[idx])
             live_params, deltas = ad.apply_update(live_params, bundle.param_grads,
                                                   batch_lr)
-            labels = sorted(set(int(v) for v in y[idx]))
+            labels = sorted(set(y[idx].tolist()))
             audit.append((batch_id, labels))
             if record_ledger:
                 entries.append(LedgerEntry(batch_id, flagged))

@@ -192,6 +192,7 @@ def negative_gradient(model: ModelArtifact, d_unlearn: LabeledDataset,
     """Gradient ascent on the forget split with an accuracy early stop."""
     if len(d_unlearn) == 0:
         raise ValueError("forget split is empty")
+    ad.check_labels(d_unlearn.y, model.spec.n_classes)
     lr = cfg.lr * lr_multiplier
     gen = rngmod.stream(cfg.seed, rngmod.STREAM_UNLEARN, 1)
     params = copy_params(model.params)

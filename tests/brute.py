@@ -288,3 +288,138 @@ def ledger_sums_sequential(deltas, flags):
                     layer_total[k] += v
         sums.append(total)
     return sums[0], sums[1]
+
+
+# ---------------------------------------------------------------------------
+# training, step by step with every per-batch check of the original loop
+
+
+def cross_entropy_reference(logits, labels, reduction):
+    """(softmax cross-entropy, its logit gradient) from the definitions: the
+    log-sum-exp and the softmax each take their own exp, and the labels and
+    reduction are checked on every call."""
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels)
+    if np.any(y < 0) or np.any(y >= z.shape[-1]):
+        raise ValueError(f"class index out of range [0,{z.shape[-1]}): {y}")
+    if reduction not in ("mean", "sum", "none"):
+        raise ValueError(f"unknown reduction {reduction!r}")
+    zb, rows = (z[None, :] if z.ndim == 1 else z), (np.arange(y.size), y.reshape(-1))
+    m = zb.max(axis=1, keepdims=True)
+    per_sample = np.log(np.exp(zb - m).sum(axis=1)) + m[:, 0] - zb[rows]
+    e = np.exp(zb - zb.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    p[rows] -= 1.0
+    if reduction == "none":
+        return per_sample, p.reshape(z.shape)
+    if reduction == "sum":
+        return per_sample.sum(), p.reshape(z.shape)
+    p /= len(zb)
+    return per_sample.mean(), p.reshape(z.shape)
+
+
+def _stack_forward(layers, params, x):
+    """Batch-mode layer outputs and caches; a non-finite x raises."""
+    h = np.ascontiguousarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("non-finite input")
+    caches = []
+    for i, (layer, p) in enumerate(zip(layers, params)):
+        h, cache = layer.forward(p, h, i, False)
+        caches.append(cache)
+    return h, caches
+
+
+def _grad_params_reference(layers, params, x, y):
+    logits, caches = _stack_forward(layers, params, x)
+    loss, g = cross_entropy_reference(logits, y, "mean")
+    grads = [{} for _ in layers]
+    for i in range(len(layers) - 1, -1, -1):
+        g = layers[i].backward(params[i], caches[i], g, grads[i], i > 0, False)
+    return grads, loss.item()
+
+
+def _apply_update_reference(params, grads, lr):
+    if lr <= 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    for p, g in zip(params, grads):
+        if set(p) != set(g) or any(g[k].shape != w.shape for k, w in p.items()):
+            raise ValueError("update shapes differ from the parameter shapes")
+    step = -1.0 * lr
+    deltas = [{k: step * g[k] for k in p} for p, g in zip(params, grads)]
+    return [{k: w + d[k] for k, w in p.items()} for p, d in zip(params, deltas)], deltas
+
+
+def train_sequential(model, dataset, cfg, record_ledger=False, isolate_classes=None):
+    """``training.train``'s loop with every check made per batch: each batch
+    scans its inputs and labels, its loss and softmax each take an exp, and
+    each update compares key sets. Returns a dict of the final params, the
+    audit, the epoch losses, the ledger's (batch id, flag) entries and its
+    two delta sums (None without a ledger)."""
+    from ulklab import models
+    from ulklab import rng as rngmod
+    tf = model.trainable_from
+    if cfg.epochs == 0:
+        return {"params": models.copy_params(model.params), "audit": [],
+                "epoch_losses": [], "entries": [],
+                "total": [] if record_ledger else None,
+                "flagged": [] if record_ledger else None}
+    iso = frozenset(int(c) for c in (isolate_classes or ()))
+    if tf > 0:
+        head_layers, head_params = model.layers[:tf], model.params[:tf]
+        inputs = np.concatenate([
+            _stack_forward(head_layers, head_params, dataset.x[i:i + models.FORWARD_CHUNK])[0]
+            for i in range(0, len(dataset), models.FORWARD_CHUNK)])
+    else:
+        inputs = dataset.x
+    live_layers, live_params = model.layers[tf:], models.copy_params(model.params[tf:])
+    y, n = dataset.y, len(dataset)
+    gen = rngmod.stream(cfg.seed, rngmod.STREAM_BATCH)
+    audit, entries, epoch_losses = [], [], []
+    total = [{} for _ in range(tf)] + [{k: np.zeros_like(v) for k, v in p.items()}
+                                       for p in live_params]
+    flagged_sum = models.copy_params(total)
+    forget_rows = np.isin(y, sorted(iso)) if iso else np.zeros(n, dtype=bool)
+    intro_at = max(cfg.epochs - cfg.intro_epochs, 0) if iso else 0
+
+    def plan(order):
+        return [order[i:i + cfg.batch_size] for i in range(0, len(order), cfg.batch_size)]
+
+    batch_id = 0
+    for epoch in range(cfg.epochs):
+        joint = epoch >= intro_at
+        if iso:
+            rest_idx = np.flatnonzero(~forget_rows)
+            batches = plan(rest_idx[gen.permutation(len(rest_idx))])
+            if joint:
+                forget_idx = np.flatnonzero(forget_rows)
+                batches += plan(forget_idx[gen.permutation(len(forget_idx))])
+                batches = [batches[i] for i in gen.permutation(len(batches))]
+        else:
+            batches = plan(gen.permutation(n))
+        loss_sum, loss_n = 0.0, 0
+        for idx in batches:
+            flagged = iso and bool(forget_rows[idx].any())
+            if iso and joint:
+                scale = cfg.intro_lr_scale if flagged else cfg.intro_rest_scale
+            else:
+                scale = 1.0
+            grads, loss = _grad_params_reference(live_layers, live_params,
+                                                 inputs[idx], y[idx])
+            live_params, deltas = _apply_update_reference(live_params, grads,
+                                                          cfg.lr * scale)
+            audit.append((batch_id, sorted(set(int(v) for v in y[idx]))))
+            entries.append((batch_id, flagged))
+            for sums in (total, flagged_sum) if flagged else (total,):
+                for layer_sum, layer_delta in zip(sums[tf:], deltas):
+                    for k, v in layer_delta.items():
+                        layer_sum[k] += v
+            loss_sum += loss * len(idx)
+            loss_n += len(idx)
+            batch_id += 1
+        epoch_losses.append(loss_sum / loss_n)
+    return {"params": models.copy_params(model.params[:tf]) + live_params,
+            "audit": audit, "epoch_losses": epoch_losses,
+            "entries": entries if record_ledger else [],
+            "total": total if record_ledger else None,
+            "flagged": flagged_sum if record_ledger else None}

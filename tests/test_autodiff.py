@@ -144,6 +144,23 @@ def test_conv_matches_direct_sum_on_tiny_input():
     assert out.data[0, 0, 0, 0] == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+@pytest.mark.parametrize("shift", [0.0, 700.0, -700.0])
+def test_cross_entropy_matches_reference(reduction, shift):
+    # one shared exp for the loss and the softmax: the same bits as two
+    rng = np.random.default_rng(30)
+    cases = [(rng.normal(size=(9, 7)) * 3.0 + shift, rng.integers(0, 7, size=9)),
+             (rng.normal(size=5) + shift, np.asarray(2)),
+             (np.array([[shift, -shift, 0.0], [shift, shift, shift]]), np.array([1, 2]))]
+    for z, y in cases:
+        loss, grad = ad._cross_entropy(z, y, reduction)
+        want_loss, want_grad = brute.cross_entropy_reference(z, y, reduction)
+        assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes() and grad.shape == z.shape
+        assert np.asarray(ad.softmax_cross_entropy(z, y, reduction)).tobytes() == \
+            np.asarray(want_loss).tobytes()
+
+
 def test_apply_update_descent_ascent_and_identity():
     params = [{"W": np.array([[1.0]]), "b": np.array([1.0])}]
     grads = [{"W": np.array([[1.0]]), "b": np.array([0.0])}]

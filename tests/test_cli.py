@@ -176,6 +176,35 @@ def test_train_on_corrupt_dataset_fails_cleanly(walk, tmp_path, capsys):
     assert "not a readable dataset archive" in capsys.readouterr().err
 
 
+def test_train_on_non_finite_dataset_fails_before_training(walk, tmp_path, capsys,
+                                                         monkeypatch):
+    ds = load_dataset(walk["data"])
+    x = ds.x.copy()
+    x[7, 3] = np.nan
+    bad = tmp_path / "nan.npz"
+    np.savez(bad, x=x, y=ds.y, n_classes=np.int64(ds.n_classes),
+             split=np.str_(ds.split), filtered=np.bool_(ds.filtered))
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
+    assert cli.main(["train", "--data", str(bad), "--out",
+                     str(tmp_path / "m.ulkm")]) == 1
+    assert "error: non-finite features in row 7" in capsys.readouterr().err
+    assert not (tmp_path / "m.ulkm").exists()
+
+
+@pytest.mark.parametrize("forget, message", [
+    ("9", "forget classes [9] outside [0,5)"),
+    ("0,1,2,3,4", "forget set must be a strict subset"),
+], ids=["out-of-range", "every-class"])
+def test_attack_param_validates_forget_set_before_any_work(walk, capsys, monkeypatch,
+                                                           forget, message):
+    monkeypatch.setattr(cli.pa, "train_aux_models",
+                        lambda *a, **k: pytest.fail("aux heads trained"))
+    for kind in ("param-dot", "param-diff"):
+        assert cli.main(["attack", kind, "--model", walk["rt"], "--data",
+                         walk["data"], "--forget", forget]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_run_and_report_round_trip(tmp_path, capsys):
     code = cli.main(["run", "--set", "attack=guess",
                      "--set", "screen.criterion=none",

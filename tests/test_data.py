@@ -131,6 +131,18 @@ def test_unfiltered_dataset_requires_every_class():
     assert len(ok) == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features_naming_the_row(bad):
+    x = np.zeros((6, 2, 2))
+    x[4, 1, 0] = bad
+    x[5, 0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite features in row 4"):
+        data.LabeledDataset(x, np.array([0, 1, 0, 1, 0, 1]), n_classes=2)
+    with pytest.raises(ValueError, match="row 0"):
+        data.LabeledDataset(x[4:], np.array([0, 1]), n_classes=2)
+    assert len(data.LabeledDataset(x[:4], np.array([0, 1, 0, 1]), n_classes=2)) == 4
+
+
 def test_class_subset_role_validation():
     s = data.ClassSubset(0, np.zeros((2, 3)))
     flipped = s.as_candidate(data.UNLEARN_CANDIDATE)

@@ -176,3 +176,37 @@ def test_ipv_csv_rejects_mixed_class_counts(tmp_path):
     ipvs = [make_ipv(0, [0.6, 0.4]), make_ipv(1, [0.2, 0.3, 0.5])]
     with pytest.raises(ValueError):
         rep.write_ipv_csv(str(tmp_path / "x.csv"), ipvs)
+
+
+@pytest.mark.parametrize("kind", ["reports", "ipv"])
+def test_readers_reject_every_cut_inside_a_row(tmp_path, kind):
+    if kind == "reports":
+        rows = [sample_report(), sample_report(run_id="h:ft-n2-s1", predicted=(1, 4),
+                                               truth=(3, 5), seed=1, wall=1.5)]
+        path = rep.write_reports(str(tmp_path / "full.csv"), rows)
+        read = rep.read_reports
+    else:
+        rows = [make_ipv(0, [0.9, 0.05, 0.05], queries=100),
+                make_ipv(1, [0.2, 0.5, 0.3], queries=101)]
+        path = rep.write_ipv_csv(str(tmp_path / "full.csv"), rows)
+        read = rep.read_ipv_csv
+    raw = open(path, "rb").read()
+    ends = [i + 2 for i in range(len(raw)) if raw[i:i + 2] == b"\r\n"]
+    assert len(ends) == len(rows) + 1 and ends[-1] == len(raw)
+    cut_path = tmp_path / "cut.csv"
+    for cut in range(len(raw)):
+        cut_path.write_bytes(raw[:cut])
+        if cut in ends:
+            # a cut at a row boundary leaves a well-formed shorter file
+            got = read(str(cut_path))
+            want = rows[:ends.index(cut)]
+            if kind == "reports":
+                assert got == want
+            else:
+                assert [(v.target, v.probs.tobytes(), v.max_prob, v.fitness, v.queries)
+                        for v in got] == \
+                    [(v.target, v.probs.tobytes(), v.max_prob, v.fitness, v.queries)
+                     for v in want]
+        else:
+            with pytest.raises(ValueError, match="line"):
+                read(str(cut_path))

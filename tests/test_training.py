@@ -193,3 +193,46 @@ def test_empty_dataset_rejected(small):
                                 n_classes=6, split="x", filtered=True)
     with pytest.raises(ValueError, match="empty"):
         train(models.build(spec, 0), empty, TrainConfig())
+
+
+@pytest.mark.parametrize("case", ["plain", "isolate", "frozen", "zero-epochs"])
+def test_train_matches_sequential_oracle(small, case):
+    # the run-level checks and the shared exp leave every float op as it was
+    ds, spec = small
+    cfg, model, iso = TrainConfig(epochs=3, seed=9), models.build(spec, 9), None
+    if case == "isolate":
+        iso = {1, 4}
+    elif case == "frozen":
+        model, iso = models.clone_frozen_head_template(model, seed=79), {0}
+    elif case == "zero-epochs":
+        cfg = TrainConfig(epochs=0)
+    result = train(model, ds, cfg, record_ledger=True, isolate_classes=iso)
+    want = brute.train_sequential(model, ds, cfg, record_ledger=True,
+                                  isolate_classes=iso)
+    assert _sums_bytes(result.model.params) == _sums_bytes(want["params"])
+    assert result.audit == want["audit"]
+    assert np.array(result.epoch_losses).tobytes() == np.array(want["epoch_losses"]).tobytes()
+    ledger = result.ledger
+    assert [(e.batch_id, e.contains_forget) for e in ledger.entries] == want["entries"]
+    assert _sums_bytes(ledger.total) == _sums_bytes(want["total"])
+    assert _sums_bytes(ledger.flagged) == _sums_bytes(want["flagged"])
+    assert bool(result.audit) == (case != "zero-epochs")
+    assert any(flag for _, flag in want["entries"]) == (case in ("isolate", "frozen"))
+
+
+def test_train_checks_inputs_and_labels_once_before_any_step(small, monkeypatch):
+    ds, spec = small
+    steps = []
+    real = training.ad.grad_params
+    monkeypatch.setattr(training.ad, "grad_params",
+                        lambda *a: steps.append(1) or real(*a))
+    diverged = models.clone_frozen_head_template(models.build(spec, 3), seed=73)
+    diverged.params[0]["b"] = np.full_like(diverged.params[0]["b"], np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        train(diverged, ds, TrainConfig(epochs=1))
+    narrow = models.build(models.mlp_spec(16, 5, hidden=8), 3)
+    with pytest.raises(ValueError, match=r"out of range \[0,5\)"):
+        train(narrow, ds, TrainConfig(epochs=1))
+    assert steps == []
+    train(models.build(spec, 3), ds, TrainConfig(epochs=1))
+    assert len(steps) == -(-len(ds) // 32)
