@@ -190,6 +190,14 @@ def per_class_subsets(dataset: LabeledDataset, k: int, m_models: int,
     Each subset is drawn without replacement; different subsets of the
     same class may overlap. Deterministic per (dataset, k, m_models, seed).
     """
+    return [ClassSubset(class_id=c, x=dataset.x[picked])
+            for c, picked in per_class_rows(dataset, k, m_models, seed)]
+
+
+def per_class_rows(dataset: LabeledDataset, k: int, m_models: int,
+                   seed: int) -> list:
+    """The draws of ``per_class_subsets`` as (class_id, row indices into
+    ``dataset.x``) pairs, in the same order."""
     if k < 1 or m_models < 1:
         raise ValueError("need k >= 1 and m_models >= 1")
     out = []
@@ -198,9 +206,8 @@ def per_class_subsets(dataset: LabeledDataset, k: int, m_models: int,
         if len(pool) < k:
             raise ValueError(f"class {c} holds {len(pool)} samples, need k={k}")
         gen = rngmod.stream(seed, rngmod.STREAM_SUBSET, c)
-        for _ in range(m_models):
-            picked = gen.choice(pool, size=k, replace=False)
-            out.append(ClassSubset(class_id=c, x=dataset.x[picked]))
+        out.extend((c, gen.choice(pool, size=k, replace=False))
+                   for _ in range(m_models))
     return out
 
 

@@ -161,17 +161,44 @@ def _screen_predicted(criterion: str, ipvs, alpha: float) -> frozenset:
     return scr.entropy_criterion(ipvs).predicted
 
 
-def _attack_cell(cfg, bundle, method: str, seed: int) -> frozenset:
+def _once(make):
+    """A function that returns ``make()``, computed on its first call; a
+    failure is kept and raised again on every later call."""
+    memo = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((make(), None))
+            except Exception as exc:
+                memo.append((None, exc.with_traceback(None)))
+        value, exc = memo[0]
+        if exc is not None:
+            raise exc
+        return value
+    return get
+
+
+def _aux(target, seed: int, aux_draw) -> list:
+    return pa.train_aux_models(target, None, pa.aux_config(seed),
+                               draw=aux_draw())
+
+
+def _attack_cell(cfg, bundle, method: str, seed: int, aux_draw) -> frozenset:
+    """The predicted forgotten set of one cell. ``aux_draw()`` gives the
+    aux-head draw that the param cells of ``bundle`` share."""
     attack = cfg["attack"]
     if attack == "guess":
         return random_guess_predict(bundle.bench.n_classes, seed)
     target = bundle.unlearned(method).artifact
+    # the heads are passed unbound, so param_diff_attack can free them early
     if attack == "param-dot":
         return pa.param_dot_attack(target, bundle.dataset, bundle.task, seed,
-                                   screen=cfg["screen.criterion"]).predicted
+                                   screen=cfg["screen.criterion"],
+                                   aux=_aux(target, seed, aux_draw)).predicted
     if attack == "param-diff":
-        return pa.param_diff_attack(target, bundle.dataset, bundle.task,
-                                    seed).predicted
+        return pa.param_diff_attack(target, bundle.dataset, bundle.task, seed,
+                                    aux=_aux(target, seed, aux_draw)).predicted
     alpha = float(cfg["screen.alpha"])
     if attack == "invert-wb":
         ipvs = inv.build_ipv_set(
@@ -215,11 +242,14 @@ def run_experiment(overrides=None, out_root: str = ".",
         for seed in seeds:
             bundle = cache.get(seed, forget)
             n_classes = bundle.bench.n_classes
+            aux_draw = _once(lambda b=bundle, s=seed: pa.draw_aux(
+                b.spec, b.dataset, b.task, s))
             for method in methods:
                 run_id = f"{h}:{method}-n{len(forget)}-s{seed}"
                 t0 = time.perf_counter()
                 try:
-                    predicted = _attack_cell(cfg, bundle, method, seed)
+                    predicted = _attack_cell(cfg, bundle, method, seed,
+                                             aux_draw)
                 except Exception as exc:
                     errors.append(f"{run_id}: {type(exc).__name__}: {exc}")
                     continue

@@ -24,10 +24,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng as rngmod
-from .data import (UNLEARN_CANDIDATE, ForgetTask, LabeledDataset,
-                   per_class_subsets)
-from .models import (ModelArtifact, ParameterVector, aux_init, head_vector,
-                     source_id)
+from .data import (REST_CANDIDATE, UNLEARN_CANDIDATE, ForgetTask,
+                   LabeledDataset, per_class_rows, per_class_subsets)
+from .models import (ModelArtifact, ModelSpec, ParameterVector, aux_init,
+                     head_vector, layers_for_spec, source_id)
 from .training import TrainConfig, frozen_features
 from .training import train  # noqa: F401  (perfbench patches it by this name)
 
@@ -91,8 +91,77 @@ class DiffFeatureSet:
         return len(self.vectors)
 
 
-def train_aux_models(target: ModelArtifact, subsets: list,
-                     cfg: TrainConfig) -> list:
+@dataclass(frozen=True)
+class AuxGroup:
+    """The heads of one class whose subsets share a size; they train in
+    lockstep. Head ``j`` fits the rows ``rows[j]`` of its draw's ``x``,
+    starts from ``init[j]`` (row-major W, then b, as ``head_vector``) and
+    lands at ``positions[j]`` of the output."""
+
+    class_id: int
+    rows: np.ndarray
+    positions: tuple
+    aux_ids: tuple
+    roles: tuple
+    source: str
+    init: np.ndarray
+
+
+@dataclass(frozen=True)
+class AuxDraw:
+    """Everything of an aux-head set that no target changes: the subsets,
+    as row indices into ``x``, and each head's init from ``aux_init``,
+    stacked per group. Training copies the stacks, so one draw serves
+    every target of ``spec`` trained under ``seed``.
+    """
+
+    spec: ModelSpec
+    seed: int
+    x: np.ndarray
+    groups: tuple
+
+
+def _draw(spec: ModelSpec, seed: int, x: np.ndarray, heads: list) -> AuxDraw:
+    """Group ``heads``, one (class_id, rows of ``x``, role) per head in
+    output order, by (class, size), and fill every head's init in place."""
+    n_classes = spec.n_classes
+    counters: dict = defaultdict(int)
+    members: dict = defaultdict(list)
+    for pos, (class_id, rows, role) in enumerate(heads):
+        if len(rows) == 0:
+            raise ValueError(f"class {class_id} subset is empty")
+        if not 0 <= class_id < n_classes:
+            raise ValueError(f"labels outside [0,{n_classes})")
+        members[(class_id, len(rows))].append((pos, counters[class_id], rows, role))
+        counters[class_id] += 1
+    layers, boundary = layers_for_spec(spec)
+    n_w = layers[boundary].in_dim * layers[boundary].out_dim
+    groups = []
+    for (class_id, _), group in members.items():
+        init = np.empty((len(group), n_w + layers[boundary].out_dim))
+        for j, (_, idx, _, _) in enumerate(group):
+            params, prov = aux_init(spec, seed, class_id, idx)
+            init[j, :n_w] = params[boundary]["W"].ravel()
+            init[j, n_w:] = params[boundary]["b"]
+        positions, aux_ids, rows, roles = zip(*group)
+        groups.append(AuxGroup(class_id, np.stack(rows), positions, aux_ids,
+                               roles, source_id(prov), init))
+    return AuxDraw(spec, seed, x, tuple(groups))
+
+
+def draw_aux(spec: ModelSpec, dataset: LabeledDataset, task: ForgetTask,
+             seed: int, k: int = DEFAULT_SUBSET_SIZE,
+             m_models: int = DEFAULT_MODELS_PER_CLASS) -> AuxDraw:
+    """The draw behind the default aux-head set of every target of one
+    (spec, dataset, task, seed): ``per_class_rows`` subsets, labelled
+    unlearn candidates for the forgotten classes."""
+    return _draw(spec, seed, dataset.x,
+                 [(c, rows, _role(task, c))
+                  for c, rows in per_class_rows(dataset, k, m_models, seed)])
+
+
+def train_aux_models(target: ModelArtifact, subsets: list | None,
+                     cfg: TrainConfig, draw: AuxDraw | None = None) -> list:
     """Fit one frozen-feature auxiliary head per subset.
 
     Head inits are drawn from per-(class, index) streams of ``cfg.seed``
@@ -102,39 +171,49 @@ def train_aux_models(target: ModelArtifact, subsets: list,
     steps that ``train(clone_frozen_head_template(...), ...)`` gives it
     alone, so the vectors match that path bit for bit. Output order
     follows ``subsets``. The head is the target's final (dense) layer.
+
+    A ``draw`` made ahead (``draw_aux``) replaces ``subsets`` and the init
+    draws, so targets that share one skip both; it must match the target's
+    spec and ``cfg.seed``. The heads of a group are row views of one
+    (heads, head size) array, trained in place.
     """
-    n_classes = target.spec.n_classes
-    counters: dict = defaultdict(int)
-    groups: dict = defaultdict(list)
-    for pos, sub in enumerate(subsets):
-        if len(sub.x) == 0:
-            raise ValueError(f"class {sub.class_id} subset is empty")
-        if not 0 <= sub.class_id < n_classes:
-            raise ValueError(f"labels outside [0,{n_classes})")
-        groups[(sub.class_id, len(sub.x))].append((pos, counters[sub.class_id]))
-        counters[sub.class_id] += 1
-    out = [None] * len(subsets)
+    if draw is None:
+        draw = _draw(target.spec, cfg.seed, *_stack_subsets(target.spec, subsets))
+    elif (draw.spec, draw.seed) != (target.spec, cfg.seed):
+        raise ValueError("aux draw was made for another model spec or seed")
     boundary = target.feature_boundary
     head = target.layers[boundary]
-    for (class_id, k), members in groups.items():
-        m = len(members)
-        feats = np.empty((m, k, head.in_dim))
-        w = np.empty((m, head.in_dim, head.out_dim))
-        b = np.empty((m, head.out_dim))
-        sources = []
-        for j, (pos, idx) in enumerate(members):
-            feats[j] = frozen_features(
-                target, np.ascontiguousarray(subsets[pos].x, dtype=np.float64),
-                boundary)
-            params, prov = aux_init(target.spec, cfg.seed, class_id, idx)
-            w[j], b[j] = params[boundary]["W"], params[boundary]["b"]
-            sources.append(source_id(prov))
-        _train_heads(feats, w, b, class_id, cfg)
-        vectors = np.concatenate([w.reshape(m, -1), b], axis=1)
-        for (pos, idx), vec, source in zip(members, vectors, sources):
-            out[pos] = AuxHead(ParameterVector(vec, source), class_id, idx,
-                               subsets[pos].role)
+    n_w = head.in_dim * head.out_dim
+    out = [None] * sum(len(g.positions) for g in draw.groups)
+    for g in draw.groups:
+        block = g.init.copy()
+        _train_heads(_group_features(target, draw.x[g.rows], boundary),
+                     block[:, :n_w].reshape(-1, head.in_dim, head.out_dim),
+                     block[:, n_w:], g.class_id, cfg)
+        for pos, idx, role, vec in zip(g.positions, g.aux_ids, g.roles, block):
+            out[pos] = AuxHead(ParameterVector(vec, g.source), g.class_id,
+                               idx, role)
     return out
+
+
+def _stack_subsets(spec: ModelSpec, subsets: list) -> tuple:
+    """The subsets' samples in one array, and (class_id, rows, role) per
+    subset with its rows in that array."""
+    xs = [np.asarray(s.x, dtype=np.float64) for s in subsets]
+    bounds = np.cumsum([0] + [len(x) for x in xs])
+    return (np.concatenate([np.empty((0,) + spec.input_shape)] + xs),
+            [(s.class_id, np.arange(lo, hi), s.role)
+             for s, lo, hi in zip(subsets, bounds[:-1], bounds[1:])])
+
+
+def _group_features(target: ModelArtifact, x: np.ndarray,
+                    boundary: int) -> np.ndarray:
+    """Frozen features of a group's (m, k, ...) samples. Dense layers take
+    the stack in one pass, each subset its own product (bit-equal to that
+    subset alone); conv layers take one image batch at a time."""
+    if x.ndim == 3:
+        return frozen_features(target, x, boundary)
+    return np.stack([frozen_features(target, s, boundary) for s in x])
 
 
 def _train_heads(feats: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -216,32 +295,39 @@ class YoudenResult:
 def youden_threshold(scores, labels) -> YoudenResult:
     """Threshold maximizing Youden's J over midpoints of sorted scores.
 
-    Ties prefer the lower threshold, then the "low" orientation.
+    Ties prefer the lower threshold, then the "low" orientation. One sort
+    per label counts its scores at or below every cut. The (cut,
+    orientation) pairs are then scanned in order, and one replaces the best
+    only when it gains more than 1e-12 over it.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise ValueError("scores and labels must be equal-length 1-D")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    pos = np.sort(scores[labels == 1])
+    neg = np.sort(scores[labels == 0])
+    if len(pos) == 0 or len(neg) == 0:
         raise ValueError("youden threshold needs both labels present")
     distinct = np.unique(scores)
     if len(distinct) == 1:
         return YoudenResult(float(distinct[0]), ORIENT_LOW, 0.0, True)
     cuts = (distinct[:-1] + distinct[1:]) / 2.0
-    best = None
-    for cut in cuts:
-        low = scores <= cut
-        tpr_low = (labels[low] == 1).sum() / n_pos
-        fpr_low = (labels[low] == 0).sum() / n_neg
-        for orient, j in ((ORIENT_LOW, tpr_low - fpr_low),
-                          (ORIENT_HIGH, fpr_low - tpr_low)):
-            if best is None or j > best.j_stat + 1e-12:
-                best = YoudenResult(float(cut), orient, float(j), False)
-    if best.j_stat <= 1e-12:
-        return YoudenResult(best.threshold, best.orientation, 0.0, True)
-    return best
+    tpr = np.searchsorted(pos, cuts, side="right") / len(pos)
+    fpr = np.searchsorted(neg, cuts, side="right") / len(neg)
+    j = np.empty(2 * len(cuts))
+    j[0::2] = tpr - fpr
+    j[1::2] = fpr - tpr
+    best, floor = 0, j[0] + 1e-12
+    while True:
+        hits = np.flatnonzero(j[best + 1:] > floor)
+        if hits.size == 0:
+            break
+        best += 1 + int(hits[0])
+        floor = j[best] + 1e-12
+    cut, orient = float(cuts[best // 2]), (ORIENT_LOW, ORIENT_HIGH)[best % 2]
+    if j[best] <= 1e-12:
+        return YoudenResult(cut, orient, 0.0, True)
+    return YoudenResult(cut, orient, float(j[best]), False)
 
 
 @dataclass(frozen=True)
@@ -463,17 +549,22 @@ class ParamAttackResult:
     detail: dict
 
 
+def _role(task: ForgetTask, class_id: int) -> str:
+    return UNLEARN_CANDIDATE if class_id in task.forget_classes \
+        else REST_CANDIDATE
+
+
 def _candidate_subsets(dataset: LabeledDataset, task: ForgetTask,
                        k: int, m_models: int, seed: int) -> list:
-    subsets = per_class_subsets(dataset, k, m_models, seed)
-    return [s.as_candidate(UNLEARN_CANDIDATE)
-            if s.class_id in task.forget_classes else s for s in subsets]
+    return [s.as_candidate(_role(task, s.class_id))
+            for s in per_class_subsets(dataset, k, m_models, seed)]
 
 
 def _default_aux(target: ModelArtifact, dataset: LabeledDataset,
                  task: ForgetTask, seed: int, k: int, m_models: int) -> list:
-    subsets = _candidate_subsets(dataset, task, k, m_models, seed)
-    return train_aux_models(target, subsets, aux_config(seed))
+    return train_aux_models(
+        target, None, aux_config(seed),
+        draw=draw_aux(target.spec, dataset, task, seed, k, m_models))
 
 
 def param_dot_attack(target: ModelArtifact, dataset: LabeledDataset,

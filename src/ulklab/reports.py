@@ -6,11 +6,11 @@ success rate (ASR). ASR scores the predicted forgotten set against the
 true one over all classes: each class counts as correct when membership
 matches, so both false alarms and misses cost points.
 
-Class-id sets travel as semicolon-joined sorted integers; readers report
-malformed files with 1-based line numbers. The writers end every row in
-CRLF, and the readers reject a file whose last line has no line ending: a
-file cut inside a row, even inside its final field. A cut exactly at a row
-boundary reads as the rows before it.
+Class-id sets travel as semicolon-joined sorted integers; readers raise
+ReportFormatError on malformed files, with 1-based line numbers. The
+writers end every row in CRLF, and the readers reject a file whose last
+line has no line ending: a file cut inside a row, even inside its final
+field. A cut exactly at a row boundary reads as the rows before it.
 """
 
 import csv
@@ -26,6 +26,10 @@ CSV_COLUMNS = ("run_id", "dataset", "model", "unlearn_method", "attack",
                "per_class", "seed", "config_hash", "wall_time")
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_COVERAGE = 0.95
+
+
+class ReportFormatError(ValueError):
+    """A reports or prediction-vector CSV is truncated or malformed."""
 
 
 def _check_ids(ids, n_classes: int, what: str) -> frozenset:
@@ -134,26 +138,26 @@ def write_reports(path: str, reports) -> str:
 def _read_rows(path: str) -> list:
     """The CSV rows of ``path``. A last line without a closing line feed
     marks a file cut inside a row, or between a row's CR and LF, and
-    raises ValueError."""
+    raises ReportFormatError."""
     with open(path, newline="") as fh:
         text = fh.read()
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if text and not text.endswith("\n"):
-        raise ValueError(f"{path} line {len(rows)}: truncated, the line has "
-                         f"no line ending")
+        raise ReportFormatError(f"{path} line {len(rows)}: truncated, the "
+                                f"line has no line ending")
     return rows
 
 
 def read_reports(path: str) -> list:
     rows = _read_rows(path)
     if not rows or rows[0] != list(CSV_COLUMNS):
-        raise ValueError(f"{path} line 1: expected header "
-                         f"{','.join(CSV_COLUMNS)}")
+        raise ReportFormatError(f"{path} line 1: expected header "
+                                f"{','.join(CSV_COLUMNS)}")
     out = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"{path} line {lineno}: {len(row)} columns, "
-                             f"expected {len(CSV_COLUMNS)}")
+            raise ReportFormatError(f"{path} line {lineno}: {len(row)} "
+                                    f"columns, expected {len(CSV_COLUMNS)}")
         try:
             out.append(AttackReport(
                 row[0], row[1], row[2], row[3], row[4], row[5],
@@ -161,7 +165,7 @@ def read_reports(path: str) -> list:
                 float(row[9]), row[10], int(row[11]), row[12],
                 float(row[13])))
         except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+            raise ReportFormatError(f"{path} line {lineno}: {exc}") from exc
     return out
 
 
@@ -216,21 +220,21 @@ def write_ipv_csv(path: str, ipvs) -> str:
 def read_ipv_csv(path: str) -> list:
     rows = _read_rows(path)
     if not rows or len(rows[0]) < 4 or rows[0][0] != "class":
-        raise ValueError(f"{path} line 1: not a prediction-vector header")
+        raise ReportFormatError(f"{path} line 1: not a prediction-vector header")
     n = len(rows[0]) - 4
     if rows[0] != ipv_columns(n):
-        raise ValueError(f"{path} line 1: expected header "
-                         f"{','.join(ipv_columns(n))}")
+        raise ReportFormatError(f"{path} line 1: expected header "
+                                f"{','.join(ipv_columns(n))}")
     out = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(rows[0]):
-            raise ValueError(f"{path} line {lineno}: {len(row)} columns, "
-                             f"expected {len(rows[0])}")
+            raise ReportFormatError(f"{path} line {lineno}: {len(row)} "
+                                    f"columns, expected {len(rows[0])}")
         try:
             probs = np.array([float(v) for v in row[1:1 + n]])
             out.append(InvertedPredictionVector(
                 int(row[0]), probs, float(row[1 + n]), float(row[2 + n]),
                 int(row[3 + n])))
         except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+            raise ReportFormatError(f"{path} line {lineno}: {exc}") from exc
     return out

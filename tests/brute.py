@@ -34,6 +34,34 @@ def youden_all_cuts(scores, labels):
     return best_j, argmax
 
 
+def youden_sequential(scores, labels):
+    """``param_attack.youden_threshold`` as a loop over every cut.
+
+    Returns (threshold, orientation, j_stat, degenerate). Cuts are visited
+    in ascending order, "low" before "high"; a pair replaces the best only
+    when it gains more than 1e-12 over it.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    distinct = np.unique(scores)
+    if len(distinct) == 1:
+        return float(distinct[0]), "low", 0.0, True
+    best = None
+    for cut in (distinct[:-1] + distinct[1:]) / 2.0:
+        low = scores <= cut
+        tpr_low = (labels[low] == 1).sum() / n_pos
+        fpr_low = (labels[low] == 0).sum() / n_neg
+        for orient, j in (("low", tpr_low - fpr_low),
+                          ("high", fpr_low - tpr_low)):
+            if best is None or j > best[2] + 1e-12:
+                best = (float(cut), orient, float(j), False)
+    if best[2] <= 1e-12:
+        return best[0], best[1], 0.0, True
+    return best
+
+
 def kmeans2_best_split(scores):
     """Minimum within-cluster SSE over every contiguous sorted 2-split.
 

@@ -6,6 +6,7 @@ import pytest
 from ulklab import harness as hz
 from ulklab import reports as rep
 from ulklab.benchmark import BundleCache
+from ulklab.unlearning import METHODS
 
 
 def test_parse_config_forms():
@@ -183,3 +184,68 @@ def test_run_experiment_param_diff_cell(tmp_path, bundle_cache):
     assert row.model == "mlp-32x64x10"
     assert row.dataset == "blobs-s1000"
     assert row.wall_time > 0.0
+
+
+PARAM_ROUTES = [("param-dot", "youden"), ("param-dot", "kmeans"),
+                ("param-diff", "tree")]
+
+
+def _masked_rows(res):
+    """reports.csv rows with the config hash and wall time masked."""
+    text = open(os.path.join(res.run_dir, "reports.csv"), newline="").read()
+    rows = []
+    for line in text.split("\r\n")[1:-1]:
+        cells = line.replace(res.config_hash, "h").split(",")
+        cells[-1] = "0"
+        rows.append(",".join(cells))
+    return rows
+
+
+@pytest.mark.parametrize("attack, criterion", PARAM_ROUTES)
+def test_param_cells_of_one_run_match_single_method_runs(tmp_path, bundle_cache,
+                                                         monkeypatch, attack,
+                                                         criterion):
+    # the five methods share one aux draw per seed; each row must still
+    # be byte-equal to that method's lone run
+    draws = []
+    real = hz.pa.draw_aux
+    monkeypatch.setattr(hz.pa, "draw_aux",
+                        lambda *a, **k: draws.append(a[3]) or real(*a, **k))
+    base = [f"attack={attack}", f"screen.criterion={criterion}", "seeds=0"]
+    every = hz.run_experiment(base + ["unlearn.method=all"],
+                              out_root=str(tmp_path), cache=bundle_cache, env={})
+    assert draws == [0]
+    assert every.errors == [] and len(every.reports) == len(METHODS)
+    lone = []
+    for method in METHODS:
+        res = hz.run_experiment(base + [f"unlearn.method={method}"],
+                                out_root=str(tmp_path), cache=bundle_cache,
+                                env={})
+        lone += _masked_rows(res)
+    assert _masked_rows(every) == lone
+    assert draws == [0] * (1 + len(METHODS))
+
+
+def test_a_failing_aux_draw_fails_every_param_cell_with_the_lone_message(
+        tmp_path, bundle_cache, monkeypatch):
+    calls = []
+
+    def failing(dataset, k, m_models, seed):
+        calls.append(seed)
+        raise ValueError(f"class 3 holds 5 samples, need k={k}")
+
+    monkeypatch.setattr(hz.pa, "per_class_rows", failing)
+    base = ["attack=param-dot", "screen.criterion=youden", "seeds=0,1"]
+    every = hz.run_experiment(base + ["unlearn.method=all"],
+                              out_root=str(tmp_path), cache=bundle_cache, env={})
+    assert calls == [0, 1]
+    assert every.reports == []
+    lone = hz.run_experiment(base + ["unlearn.method=ng"],
+                             out_root=str(tmp_path), cache=bundle_cache, env={})
+    message = ": ValueError: class 3 holds 5 samples, need k=20"
+    assert [e.split(":", 1)[1] for e in lone.errors] == \
+        [f"ng-n1-s{s}{message}" for s in (0, 1)]
+    assert [e.split(":", 1)[1] for e in every.errors] == \
+        [f"{m}-n1-s{s}{message}" for s in (0, 1) for m in METHODS]
+    log = open(os.path.join(every.run_dir, "errors.log")).read().splitlines()
+    assert log == every.errors

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from ulklab import param_attack as pa
 from ulklab.data import (REST_CANDIDATE, UNLEARN_CANDIDATE, ClassSubset,
                          LabeledDataset, per_class_subsets)
-from ulklab.models import (ParameterVector, clone_frozen_head_template,
-                           head_vector)
+from ulklab.models import (ParameterVector, build, clone_frozen_head_template,
+                           cnn_spec, head_vector)
 from ulklab.training import TrainConfig, train
 
 import brute
@@ -106,6 +107,46 @@ def test_youden_property_matches_exhaustive_oracle():
             assert (res.threshold, res.orientation) in argmax
             # tie rule: the lowest threshold among optimal cuts
             assert res.threshold == pytest.approx(min(t for t, _ in argmax))
+
+
+def _youden_tuple(res):
+    return (res.threshold, res.orientation, res.j_stat, res.degenerate)
+
+
+def test_youden_matches_sequential_loop_on_ties_and_constants():
+    # few distinct values give many tied J; each case must equal the loop
+    # bit for bit and reach the exhaustive optimum
+    rng = np.random.default_rng(503)
+    cases = [([2.0] * 5, [0, 1, 1, 0, 1]),
+             ([1.0, 1.0, 2.0, 2.0], [1, 0, 1, 0]),
+             ([0.0, 1.0, 0.0, 1.0, 2.0, 2.0], [1, 1, 0, 0, 1, 0])]
+    for _ in range(300):
+        n = int(rng.integers(2, 80))
+        scores = rng.integers(0, int(rng.integers(1, 6)), size=n) * 0.25
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[-1] = 0, 1
+        cases.append((scores, labels))
+    for scores, labels in cases:
+        got = _youden_tuple(pa.youden_threshold(scores, labels))
+        want = brute.youden_sequential(scores, labels)
+        assert got == want
+        assert type(got[0]) is type(got[2]) is float
+        best_j, argmax = brute.youden_all_cuts(scores, labels)
+        assert got[2] == pytest.approx(max(best_j, 0.0))
+        if not got[3]:
+            assert got[:2] in argmax
+
+
+def test_youden_matches_sequential_loop_on_infinite_and_nan_scores():
+    rng = np.random.default_rng(504)
+    for _ in range(100):
+        scores = rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan], size=12)
+        labels = rng.integers(0, 2, size=12)
+        labels[0], labels[-1] = 0, 1
+        with np.errstate(invalid="ignore"):
+            got = _youden_tuple(pa.youden_threshold(scores, labels))
+            want = brute.youden_sequential(scores, labels)
+        assert str(got) == str(want)
 
 
 def test_youden_partition_invariant_under_monotone_maps():
@@ -357,6 +398,64 @@ def test_train_aux_models_matches_per_head_training(bundles, k):
         assert head.vector.source == want.source
         assert (head.class_id, head.aux_id, head.role) == \
             (sub.class_id, idx, sub.role)
+
+
+def test_train_aux_models_on_a_cnn_matches_per_head_training():
+    # image subsets take the frozen conv layers one subset at a time
+    target = build(cnn_spec(12, 12, 1, 4), 0)
+    rng = np.random.default_rng(505)
+    subsets = [ClassSubset(class_id=c, x=rng.random((6, 12, 12, 1)))
+               for c in (1, 2, 1)]
+    cfg = TrainConfig(epochs=3, lr=0.1, batch_size=4, seed=5)
+    got = pa.train_aux_models(target, subsets, cfg)
+    for sub, head, idx in zip(subsets, got, (0, 0, 1)):
+        template = clone_frozen_head_template(target, cfg.seed,
+                                              class_id=sub.class_id, index=idx)
+        ds = LabeledDataset(sub.x, np.full(6, sub.class_id), n_classes=4,
+                            split="aux", filtered=True)
+        want = head_vector(train(template, ds, cfg).model)
+        assert head.vector.values.tobytes() == want.values.tobytes()
+
+
+# SHA-256 of the 500 default head vectors of seed 0's rt target, forget {3}
+AUX_HEADS_SEED0_RT = "d32e9fdeeef31a02c67aa311f4161df9a8d5332157f6f04f3a7751af36a91162"
+
+
+def test_aux_heads_are_pinned(bundles):
+    bundle = bundles(0)
+    assert bundle.forget == frozenset({3})
+    target = bundle.unlearned("rt").artifact
+    aux = pa._default_aux(target, bundle.dataset, bundle.task, 0,
+                          pa.DEFAULT_SUBSET_SIZE, pa.DEFAULT_MODELS_PER_CLASS)
+    assert len(aux) == 500
+    digest = hashlib.sha256()
+    for head in aux:
+        digest.update(head.vector.values.tobytes())
+    assert digest.hexdigest() == AUX_HEADS_SEED0_RT
+
+
+def test_shared_draw_matches_fresh_draws_for_every_target(bundles):
+    # one draw serves several targets: each must get the heads that
+    # drawing from its own subsets gives, and the draw must stay as made
+    bundle = bundles(0)
+    cfg = pa.aux_config(3)
+    draw = pa.draw_aux(bundle.spec, bundle.dataset, bundle.task, 3, k=20,
+                       m_models=4)
+    inits = [g.init.copy() for g in draw.groups]
+    subsets = pa._candidate_subsets(bundle.dataset, bundle.task, 20, 4, 3)
+    for method in ("rt", "ng", "rt"):
+        target = bundle.unlearned(method).artifact
+        got = pa.train_aux_models(target, None, cfg, draw=draw)
+        want = pa.train_aux_models(target, subsets, cfg)
+        assert len(got) == len(want) == 40
+        for a, b in zip(got, want):
+            assert a.vector.values.tobytes() == b.vector.values.tobytes()
+            assert (a.vector.source, a.class_id, a.aux_id, a.role) == \
+                (b.vector.source, b.class_id, b.aux_id, b.role)
+        assert all(g.init.tobytes() == init.tobytes()
+                   for g, init in zip(draw.groups, inits))
+    with pytest.raises(ValueError, match="another model spec or seed"):
+        pa.train_aux_models(target, None, pa.aux_config(4), draw=draw)
 
 
 def test_dot_separation_on_benchmark(bundles):

@@ -210,3 +210,46 @@ def test_readers_reject_every_cut_inside_a_row(tmp_path, kind):
         else:
             with pytest.raises(ValueError, match="line"):
                 read(str(cut_path))
+
+
+def _malformed_csvs(tmp_path):
+    """(reader, file text) for each malformed file the tests above reject,
+    and for every cut of a well-formed file that falls inside a row."""
+    reports = open(rep.write_reports(
+        str(tmp_path / "r.csv"), [sample_report(), sample_report(seed=1)]),
+        newline="").read()
+    ipv = open(rep.write_ipv_csv(
+        str(tmp_path / "i.csv"), [make_ipv(0, [0.6, 0.4]),
+                                  make_ipv(1, [0.2, 0.8])]), newline="").read()
+    r_lines, i_lines = reports.split("\r\n"), ipv.split("\r\n")
+    cases = [
+        (rep.read_reports, ""),
+        (rep.read_reports, "nope,nope\n"),
+        (rep.read_reports, "\n".join(r_lines[:2] + [r_lines[2].rsplit(",", 1)[0]]) + "\n"),
+        (rep.read_reports, reports.replace("100.0", "99.0", 1)),
+        (rep.read_reports, reports.replace(",0,h,", ",zero,h,", 1)),
+        (rep.read_ipv_csv, ""),
+        (rep.read_ipv_csv, "a,b,c\n"),
+        (rep.read_ipv_csv, ipv.replace("p1", "q1", 1)),
+        (rep.read_ipv_csv, "\n".join(i_lines[:2] + [i_lines[2] + ",0"]) + "\n"),
+        (rep.read_ipv_csv, ipv.replace("0.6", "0.9", 1)),
+        (rep.read_ipv_csv, "class,p0,p1,max_prob,fitness,queries\n1,-0.5,1.5,1.5,0.5,0\n"),
+        (rep.read_ipv_csv, "class,p0,p1,max_prob,fitness,queries\n1,nan,0.5,nan,0.5,0\n"),
+    ]
+    for read, text in ((rep.read_reports, reports), (rep.read_ipv_csv, ipv)):
+        raw = text.encode()
+        ends = {i + 2 for i in range(len(raw)) if raw[i:i + 2] == b"\r\n"} | {0}
+        cases += [(read, raw[:cut].decode()) for cut in range(len(raw))
+                  if cut not in ends]
+    return cases
+
+
+def test_every_reader_rejection_is_a_report_format_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    cases = _malformed_csvs(tmp_path)
+    assert len(cases) > 200
+    for read, text in cases:
+        path.write_bytes(text.encode())
+        with pytest.raises(rep.ReportFormatError, match=r"bad\.csv line \d+: "):
+            read(str(path))
+    assert issubclass(rep.ReportFormatError, ValueError)
