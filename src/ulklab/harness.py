@@ -9,13 +9,21 @@ raises is logged to errors.log and skipped rather than killing the run.
 
 The ULK_SEED environment variable, when set, replaces the configured
 seed list; it exists so wrappers can fan one config out across workers.
+Each run directory also gets ``env.json``, the machine facts a digest
+that moves between machines can be explained by; the determinism
+fingerprint does not read it.
 """
 
+import functools
 import hashlib
+import json
 import math
 import os
+import platform
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import inversion as inv
 from . import param_attack as pa
@@ -50,6 +58,8 @@ CRITERIA = {
 }
 
 GUESS_P = 0.5
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_config(pairs) -> dict:
@@ -149,6 +159,22 @@ class RunResult:
     config_hash: str
     reports: list
     errors: list
+
+
+@functools.cache
+def _process_facts() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
+def _machine_facts() -> dict:
+    """The Python and NumPy versions and the BLAS thread variables, read
+    once per process, and whether NumPy's ziggurat tables passed the check
+    that lets GA breeding replay its draws: None until breeding in this
+    process has run that check, so runs that never breed never pay for it."""
+    checked = inv.ziggurat_tables.cache_info().currsize
+    return dict(_process_facts(), ziggurat_check_passed=(
+        inv.ziggurat_tables() is not None) if checked else None)
 
 
 def _model_label(spec) -> str:
@@ -263,6 +289,8 @@ def run_experiment(overrides=None, out_root: str = ".",
 
     with open(os.path.join(run_dir, "config.txt"), "w") as fh:
         fh.write(canonical_config(cfg))
+    with open(os.path.join(run_dir, "env.json"), "w") as fh:
+        json.dump(_machine_facts(), fh, indent=1, sort_keys=True)
     rep.write_reports(os.path.join(run_dir, "reports.csv"), results)
     err_path = os.path.join(run_dir, "errors.log")
     if errors:
@@ -277,7 +305,8 @@ def determinism_fingerprint(run_dir: str) -> str:
     """Hash of a run directory's contents with wall times masked out.
 
     Two runs of the same config must agree on this fingerprint
-    byte-for-byte; wall_time is the one column allowed to vary.
+    byte-for-byte; wall_time is the one column allowed to vary, and
+    env.json is not read.
     """
     digest = hashlib.sha256()
     with open(os.path.join(run_dir, "config.txt"), "rb") as fh:

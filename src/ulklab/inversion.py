@@ -21,15 +21,20 @@ model's output vector. Fitness is P(t|x); parents are drawn by roulette
 with a small floor, recombined by single-point crossover, mutated in one
 uniformly chosen coordinate with a decaying Gaussian step, and the top
 ``elite`` individuals survive unchanged, which makes best fitness
-monotone per generation. A generation's children are bred one after
-another from the class's stream and then scored in one batched oracle
-call; the best individual is the first to reach the highest fitness, as
-in a child-by-child scan.
+monotone per generation. A generation's children get the draws of
+breeding them one after another from the class's stream: they are
+decoded from one raw block of the Philox stream and built with array
+operations, with a hand-off to the generator's own calls for any child
+the block cannot decode (``ga_breed``). The generation is then scored in
+one batched oracle call; the best individual is the first to reach the
+highest fitness, as in a child-by-child scan.
 
 All randomness flows from per-(seed, attack, class) substreams, so IPV
 sets are bit-reproducible and per-class runs are order-independent.
 """
 
+import base64
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,7 +340,8 @@ def ga_sigma(cfg: GAConfig, generation: int) -> float:
 def ga_breed(population: np.ndarray, fitness: np.ndarray, n_children: int,
              sigma_g: float, gen: np.random.Generator,
              rate: float | None = None) -> np.ndarray:
-    """One generation's children, bred one after another from ``gen``.
+    """One generation's children, drawn from ``gen`` as if bred one after
+    another.
 
     Per child: two roulette parents with weights proportional to the
     floored fitness, drawn as ``cdf.searchsorted(gen.random(2),
@@ -345,12 +351,56 @@ def ga_breed(population: np.ndarray, fitness: np.ndarray, n_children: int,
     second; then a Gaussian mutation of one uniformly chosen coordinate,
     or with ``rate`` of each coordinate independently. The children are
     clamped into [0,1]^d.
+
+    With one-coordinate mutation, d >= 3 and a Philox ``gen`` whose
+    tables pass ``ziggurat_tables``'s check, the draws are replayed: one
+    ``random_raw`` block of four words a child is decoded as those calls
+    would read it (``_decode_block``), and the children are built with
+    array operations. At the first child the block cannot decode (a
+    Lemire retry check or a ziggurat slow path), the generator is rewound
+    to that child, which is bred by the calls themselves, and replay
+    resumes once no half word is buffered. Every other case breeds child
+    by child. Both give the same bits and leave ``gen`` at the same place
+    in its stream.
     """
     floored = np.maximum(fitness, FITNESS_FLOOR)
     cdf = (floored / floored.sum()).cumsum()
     cdf /= cdf[-1]
     dim = population.shape[1]
     children = np.empty((n_children, dim))
+    bits = gen.bit_generator
+    tables = None
+    if rate is None and dim >= 3 and isinstance(bits, np.random.Philox):
+        tables = ziggurat_tables()
+    if tables is None:
+        _breed_loop(children, population, cdf, sigma_g, gen, rate)
+        return np.clip(children, 0.0, 1.0, out=children)
+    done = 0
+    while done < n_children:
+        state = bits.state
+        if not state["has_uint32"]:
+            parents, cut, coord, z, fast = _decode_block(
+                bits.random_raw(4 * (n_children - done)), cdf, dim, *tables)
+            k = len(fast) if fast.all() else int(fast.argmin())
+            head = np.arange(dim) < cut[:k, None]
+            block = np.where(head, population[parents[:k, 0]],
+                             population[parents[:k, 1]])
+            block[np.arange(k), coord[:k]] += sigma_g * z[:k]
+            children[done:done + k] = block
+            done += k
+            if done == n_children:
+                break
+            # rewind to child k, whose draws the block cannot give
+            bits.state = state
+            bits.random_raw(4 * k)
+        _breed_loop(children[done:done + 1], population, cdf, sigma_g, gen, rate)
+        done += 1
+    return np.clip(children, 0.0, 1.0, out=children)
+
+
+def _breed_loop(children, population, cdf, sigma_g, gen, rate):
+    """Breed each row of ``children`` in turn with the generator's calls."""
+    dim = population.shape[1]
     random, integers, normal = gen.random, gen.integers, gen.standard_normal
     for child in children:
         i1, i2 = cdf.searchsorted(random(2), side="right").tolist()
@@ -362,7 +412,73 @@ def ga_breed(population: np.ndarray, fitness: np.ndarray, n_children: int,
         else:
             mask = gen.uniform(size=dim) < rate
             child += sigma_g * normal(dim) * mask
-    return np.clip(children, 0.0, 1.0, out=children)
+
+
+def _decode_block(raw, cdf, dim, ki, wi):
+    """One-coordinate breeding's draws, decoded from raw Philox words
+    (a uint64 array).
+
+    Each child reads four words: two doubles ``(r >> 11) * 2**-53`` for
+    its parents; one word whose low and high halves give the cut
+    ``integers(1, dim)`` and the mutated coordinate ``integers(dim)`` by
+    Lemire's method; and one ziggurat word for ``standard_normal``.
+    Returns (parents (m, 2), cut, coord, z, fast). Only where ``fast`` is
+    set are these the calls' draws: there, neither Lemire draw needs its
+    retry check and the normal takes the ziggurat's fast path.
+    """
+    raw = raw.reshape(-1, 4)
+    parents = cdf.searchsorted((raw[:, :2] >> 11) * 2.0 ** -53, side="right")
+    ranges = np.array([dim - 1, dim], dtype=np.uint64)
+    scaled = (raw[:, 2:3] >> np.array([0, 32], dtype=np.uint64) & 0xFFFFFFFF) * ranges
+    drawn = (scaled >> 32).astype(np.intp)
+    z, fast = _decode_normals(raw[:, 3], ki, wi)
+    fast &= ((scaled & 0xFFFFFFFF) >= ranges).all(axis=1)
+    return parents, drawn[:, 0] + 1, drawn[:, 1], z, fast
+
+
+def _decode_normals(words, ki, wi):
+    """NumPy's ziggurat on raw words: layer ``r & 0xff``, sign bit 8 and a
+    52-bit magnitude above it; ``ki``/``wi`` are indexed by the low nine
+    bits (``wi`` negated above 255). Returns (z, fast); z is the
+    generator's value where ``fast`` is set."""
+    rabs = words >> 9 & 0xFFFFFFFFFFFFF
+    layer = words & 0x1FF
+    return rabs * wi[layer], rabs < ki[layer]
+
+
+@functools.cache
+def ziggurat_tables():
+    """NumPy's standard-normal ziggurat tables (ki, wi), or None when they
+    do not reproduce ``Generator.standard_normal``. Checked once per
+    process, on first use.
+
+    The check feeds the generator one crafted word at a time through
+    Philox's buffer: for every layer and both signs, the largest
+    magnitude on the fast path, the smallest off it, and one from a fixed
+    stream. Each word must be marked fast exactly when the generator
+    takes no further word for it, and then decode to the generator's
+    value.
+    """
+    raw = np.frombuffer(base64.b64decode(_ZIGGURAT), dtype="<u8")
+    ki, wi = np.tile(raw[:256], 2), raw[256:].view("<f8")
+    wi = np.concatenate([wi, -wi])
+    bits = np.random.Philox(0)
+    magnitudes = np.concatenate([np.maximum(ki, 1) - 1, ki,
+                                 bits.random_raw(512) >> 12])
+    words = magnitudes << 9 | np.arange(3 * 512, dtype=np.uint64) & 0x1FF
+    normal = np.random.Generator(bits).standard_normal
+    state = bits.state
+    state["buffer_pos"] = 0
+    got, alone = np.empty(len(words)), np.empty(len(words), dtype=bool)
+    for i, word in enumerate(words.tolist()):
+        state["buffer"] = np.array([word, 1, 2, 3], dtype=np.uint64)
+        bits.state = state
+        got[i] = normal()
+        alone[i] = bits.random_raw() == 1
+    z, fast = _decode_normals(words, ki, wi)
+    if np.array_equal(fast, alone) and got[fast].tobytes() == z[fast].tobytes():
+        return ki, wi
+    return None
 
 
 def invert_blackbox(oracle: QueryOracle, target: int,
@@ -466,3 +582,73 @@ def build_ipv_set(attack: str, target, cfg=None,
         return [invert_blackbox(oracle, t, cfg, input_shape=input_shape)
                 for t in range(n)]
     raise ValueError(f"unknown attack {attack!r}, expected 'wb' or 'bb'")
+
+
+# NumPy's ziggurat tables for the standard normal (random/src/distributions/
+# ziggurat_constants.h): ki_double then wi_double, 256 little-endian
+# 64-bit words each.
+_ZIGGURAT = (
+    "au8lgD3zDgAAAAAAAAAAAKjG+5i+CAwAQoG9+lSjDQDq7sF+9lEOAH730+lVsg4Aucp+gUvvDgCqRPoKRxkPABjL"
+    "/2HtNw8AXCVhlUZPDwCWoxvkpWEPAKSWU3V6cA8AmkQo7LJ8DwDTV2MM8YYPAN4lg1emjw8A2tBNxySXDwAJ9dsH"
+    "qZ0PAHT6gfVgow8A+Etb3m+oDwDcVNNg8awPAA+5GGf7sA8AxnRTjZ+0DwB3/mYj7LcPAA7loensug8A7QsEnau9"
+    "DwBXbP9gMMAPAEiiNxCCwg8A0VvieqbEDwAx7nqXosYPAKSWKKl6yA8Ahd5LXjLKDwAaIwLpzMsPAMQ5+BJNzQ8A"
+    "meyPTbXODwAwyR2/B9APAObE1k1G0Q8AUPTiqHLSDwAeyfBPjtMPAHi0kJma1A8AUw+SuJjVDwDsmY7AidYPADLo"
+    "yKlu1w8A6Ah7VEjYDwCMLK2LF9kPANKtpwfd2Q8AjF4QcJnaDwAgLsBdTdsPAND8W1z52w8AfZq5653cDwCdchiB"
+    "O90PAJAvNIjS3Q8AZJ82ZGPeDwBOUY1w7t4PAC60pgF03w8AQO2ZZfTfDwDyJLzkb+APAFiiJcLm4A8ATLgoPFnh"
+    "DwCZP7yMx+EPAKoc2+kx4g8AkRvahZjiDwCGQbWP++IPAEqNVTNb4w8AKgDQmbfjDwB/rZ7pEOQPADR31EZn5A8A"
+    "XAlM07rkDwAkldKuC+UPAHi8TvdZ5Q8AEhLkyKXlDwCJhhM+7+UPAHgQ2W825g8AeNXGdXvmDwCqER5mvuYPAPL0"
+    "5VX/5g8AAqcAWT7nDwA5nj6Ce+cPAKJwcOO25w8AQ0J3jfDnDwCM8FOQKOgPADoXNfte6A8AZAiE3JPoDwC8zvBB"
+    "x+gPAPZOfTj56A8AHZuHzCnpDwDqiNMJWekPAKKak/uG6Q8AZkhxrLPpDwDVtpQm3+kPAHzmq3MJ6g8ApGbxnDLq"
+    "DwAslTKrWuoPABp01aaB6g8A8Bzel6fqDwAg2fOFzOoPADzmZXjw6g8AE+wvdhPrDwBKKv6FNesPALRiMa5W6w8A"
+    "+oTi9HbrDwAUIOZflusPAHydz/S06w8A0En0uNLrDwA+Lm6x7+sPAOi9HuML7A8AFVqxUifsDwDTr50EQuwPAJbx"
+    "Kf1b7A8A9O5sQHXsDwC0DFDSjewPABIfkbal7A8A/ifE8LzsDwAV+1SE0+wPALPIiHTp7A8At5F/xP7sDwAohTV3"
+    "E+0PAANJhI8n7Q8ATC8kEDvtDwBuWK37Te0PAN3DmFRg7Q8A6E9BHXLtDwCCqeRXg+0PAMgspAaU7Q8ABLeFK6Tt"
+    "DwC0anTIs+0PAFJmQd/C7Q8AUm6kcdHtDwDTijyB3+0PAICZkA/t7Q8AFNQPHvrtDwDESxKuBu4PAAZa2cAS7g8A"
+    "4AaQVx7uDwAkZUtzKe4PALzkChU07g8APJu4PT7uDwD0ginuR+4PAIawHSdR7g8AQX9A6VnuDwAutCg1Yu4PAPGX"
+    "WAtq7g8Aegc+bHHuDwCCezJYeO4PALoGe89+7g8AskpI0oTuDwBDY7Zgiu4PAFHIzHqP7g8A2iV+IJTuDwDqKahR"
+    "mO4PAFxIEw6c7g8A9HNyVZ/uDwCuzGInou4PAKxCa4Ok7g8AcS38aKbuDwD61m7Xp+4PAAr6BM6o7g8AOzPoS6nu"
+    "DwAQZClQqe4PAF4HwNmo7g8AVHaJ56fuDwAkHUh4pu4PAIOeooqk7g8A2uQiHaLuDwAkIDUun+4PAC6vJryb7g8A"
+    "5PIkxZfuDwA6CjxHk+4PABZ1VUCO7g8Aepw2rojuDwD9PX+Ogu4PAIi4p9577g8A/zf/m3TuDwBevanDbO4PAH4A"
+    "nlJk7g8AiCijRVvuDwC2V06ZUe4PAM8GAEpH7g8AUCzhUzzuDwDYKuCyMO4PAAWCrWIk7g8AWjy4XhfuDwBHFCqi"
+    "Ce4PAMxJ4yf77Q8AbCF26uvtDwB+BCLk2+0PANM5zg7L7Q8A9CwEZLntDwDJOOncpu0PAI3pN3KT7Q8ANqg4HH/t"
+    "DwArwLnSae0PAACuBo1T7Q8AIqTeQTztDwDYL2rnI+0PAETmL3MK7Q8ANP4H2u/sDwC4tw4Q1OwPALRulQi37A8A"
+    "wTAStpjsDwB4qQ0KeewPAP4xD/VX7A8AYsmGZjXsDwA1s7RMEewPANBvjpTr6w8AkragKcTrDwDcDO71musPAEKF"
+    "yeFv6w8Anh+t00LrDwBLLQuwE+sPAOkCGlni6g8AVyKZrq7qDwAm446NeOoPAOVz/c8/6g8A9tmNTATqDwA7Vi/W"
+    "xekPAKRHqTuE6Q8AKEcdRz/pDwDWxXa99ugPAOboxF2q6A8A6rF64FnoDwBAqZD2BOgPAMAzgkir5w8ApWofdUzn"
+    "DwACoioQ6OYPANirtqB95g8AfjA4nwzmDwBC9zhzlOUPAIByl3AU5Q8AWPQ21IvkDwA3Hv2/+eMPAJyx7jVd4w8A"
+    "/uQvErXiDwBXVZkDAOIPABSDeII84Q8AsGfuxGjgDwCqcSuwgt8PAKr+fsWH3g8A/TvGCXXdDwATvynlRtwPAIIC"
+    "Lvj42g8Adbqy4YXZDwAEz0jv5tcPAAtlva0T1g8AEvDiSQHUDwCsx7SnodEPAJ4fdgTizg8AshFe2KjLDwAiLc1u"
+    "0scPAO0iHi8rww8AOrjAgWW9DwA0VADEBrYPAHQoKlhArA8AmEUBHpeeDwD8HaRI+okPACww8PfFZg8AShwzS1oa"
+    "DwB52RV4O0nPPMb2/eMLjYs8tFssPK9QkjxhO0Q4uXyVPAynL+j8AZg8vNBMLgwjmjz3YTgvTQCcPHRydFovrJ08"
+    "w9VMLUgynzytu44nMk2gPENdAjsF9aA8dzZBl6aSoTz1GnqPoieiPIDYYzgutaI89ZFXwD88ozwvsaLBnr2jPFWb"
+    "/43vOaQ8p/49NruxpDx00xpidSWlPJbOB6eAlaU86n7ZzzECpjw9fKNh0mumPHAFAJKi0qY8pvhG09o2pzx3KrMQ"
+    "rZinPEP1Rq1F+Kc8dwpDU8xVqDyadnueZLGoPJjPTqkuC6k86h4sgkdjqTxGxTiOybmpPCynpNzMDqo8Wc13bWdi"
+    "qjwwFhBurbSqPJxsE22xBas8KXpCh4RVqzw6n1KONqSrPDKCvyrW8as8805Z+XA+rDxhOzKlE4qsPIsmcv7J1Kw8"
+    "SLeADp8erTwQH+QpnWetPMO4IwDOr608U3bxqTr3rTz+7dK16z2uPABvejPpg648zoL5vTrJrjwmYvCE5w2vPIj2"
+    "2FT2Ua88rteHnm2VrzysLvp9U9ivPOw0QuBWDbA8mo859UAusDz8pRae6k6wPBCgcltWb7A8C/RxkIaPsDwTYbyE"
+    "fa+wPH/MS2Y9z7A8awgWS8jusDzuFZUyIA6xPL4PMQdHLbE8QZGOnz5MsTweIMS/CGuxPDTaeBqnibE8iG3uURuo"
+    "sTzLKvj4ZsaxPC7U4JOL5LE8n6BAmYoCsjzpxsRyZSCyPB/D6X0dPrI8+2upDLRbsjx/0x1mKnmyPBvXGceBlrI8"
+    "2i64YruzsjxTuOFi2NCyPI6py+jZ7bI810huDcEKszwwufThjiezPKFeJnBERLM81VLKuuJgszxqWAW+an2zPGSy"
+    "sm/dmbM8Az24vzu2szzgHVaYhtKzPINact6+7rM8dJ7gceUKtDxddKYt+ya0PKQwPOgAQ7Q8XcfKc/detDw2w2ae"
+    "33q0PC+PSDK6lrQ8XUEC9oeytDzcEbOsSc60PAWmOBYA6rQ8YlVe76sFtTxaiwryTSG1PE9matXmPLU8yLIbTndY"
+    "tTx4X1UOAHS1PBSFDsaBj7U8WRskI/2qtTw9c33Rcsa1PNOML3vj4bU8OF6fyE/9tTzDH6NguBi2PKKwougdNLY8"
+    "Cya3BIFPtjxylslX4mq2PDcxsYNChrY8sbJQKaKhtjy7Q7PoAb22PFLTKGFi2LY8VPhhMcTztjzraIv3Jw+3PMYU"
+    "aVGOKrc83O5w3PdFtzwfc+U1ZWG3PEn07/rWfLc8k726yE2YtzwJFIs8yrO3PPsi2/NMz7c8595zjNbqtzwf6oak"
+    "Zwa4PHaGyNoAIrg8FZ+JzqI9uDy99dEfTlm4PMV+em8Ddbg8LfdHX8OQuDxDwAWSjqy4PJwMoatlyLg8J2pEUUnk"
+    "uDyPtXMpOgC5PEeDKNw4HLk8/ArvEkY4uTyKogN5YlS5PO7VcLuOcLk8MSouicuMuTy/mT+TGam5PCzZ1Yx5xbk8"
+    "EXRvK+zhuTxK0vomcv65PJI2+TkMG7o8W8iiIbs3ujyIuwuef1S6PKSpSnJacbo8PTGgZEyOujwI8Z8+Vqu6PM71"
+    "Ws14yLo8NrOL4bTlujwaocNPCwO7PFuYmvB8ILs8AAzgoAo+uzwDPc5BtVu7PCeJP7l9ebs8PPfl8WSXuzxuJYXb"
+    "a7W7PKLALmuT07s8g66Bm9zxuzygFuxsSBC8PC168OXXLrw8HA1uE4xNvDwFh+wIZmy8PBem6+Bmi7w8q6I2vY+q"
+    "vDyQ1jvH4cm8PDfgaDBe6bw8bo+LMgYJvTwg7zcQ2yi9PEfGMxXeSL08I/HnlhBpvTyl+9f0c4m9PHBuIJkJqr08"
+    "Dkn8+NLKvTw3LlKV0eu9PBzSSfsGDb489kbqxHQuvjyI0cGZHFC+PCX+ly8Acr48Cr8qSyGUvjwIb/fAgba+PDqn"
+    "EHYj2b48qewBYQj8vjwhU8KKMh+/PG1Ntw+kQr88aAHJIF9mvzyCl4kEZoq/PL8icRi7rr88hecv0mDTvzwL9hjB"
+    "Wfi/PHWg00fUDsA8R8mPAqghwDyrAqmDqTTAPMf1Pk7aR8A8frOt9jtbwDxoJqcj0G7APBcuY4+YgsA8VKLoCJeW"
+    "wDzEwHF1zarAPEjU7tE9v8A8MD2qNOrTwDyTZRHP1OjAPLafpu///cA8QXAgBG4TwTw1XbubISnBPG0JxGkdP8E8"
+    "Oy5gSGRVwTzz7p07+WvBPGES0nTfgsE8rOtOVhqawTyOL393rbHBPJSmcamcycE8Oa7k++vhwTwB2eLCn/rBPIHM"
+    "BJ28E8I87tNvekctwjwknKykRUfCPOBYdse8YcI8Llmo+rJ8wjx4DnfNLpjCPFIKKlM3tMI8l9uWMdTQwjz1eKmx"
+    "De7CPO6uVtLsC8M8o6RoXnsqwzyjEq4FxEnDPECoM3rSacM8CkFWkrOKwzz6iK5wdazDPKYEF7Mnz8M8dfRgqtvy"
+    "wzza5bmcpBfEPJReVBWYPcQ8FTqnRM5kxDy8Q5x1Yo3EPCdaa51zt8Q8AonNDSXjxDxBrOlTnxDFPEJ+OlIRQMU8"
+    "G+RKqbFxxTzZjXGLwKXFPP7QOiSK3MU8TB6Gz2kWxjzqagB7zlPGPMPln75AlcY8MuIJjWvbxjw0el/wKCfHPHMG"
+    "CVaVecc8jM7W9C3Uxzw08ikFAznIPBR8qr8Pq8g8lkRvlOAuyTyrV0AB7svJPFp3lHjcj8o8sf14OB+YyzwzrQmC"
+    "tDvNPA=="
+)

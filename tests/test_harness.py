@@ -119,6 +119,37 @@ def test_rerun_is_deterministic_modulo_wall_time(tmp_path):
     assert hz.determinism_fingerprint(other.run_dir) != fp_a
 
 
+def test_env_json_holds_machine_facts_outside_the_fingerprint(tmp_path):
+    import json
+    import platform
+
+    from ulklab import inversion as inv
+
+    def facts_of(run):
+        with open(os.path.join(run.run_dir, "env.json")) as fh:
+            return json.load(fh)
+
+    inv.ziggurat_tables.cache_clear()
+    try:
+        # a run that never breeds leaves the table check undone
+        a = hz.run_experiment(GUESS_CFG, out_root=str(tmp_path / "a"), env={})
+        assert inv.ziggurat_tables.cache_info().currsize == 0
+        assert facts_of(a) == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas_threads": {v: os.environ.get(v) for v in hz.BLAS_THREAD_VARS},
+            "ziggurat_check_passed": None}
+        inv.ga_breed(np.random.default_rng(0).uniform(size=(4, 3)), np.ones(4), 2,
+                     0.1, np.random.Generator(np.random.Philox(0)))
+        b = hz.run_experiment(GUESS_CFG, out_root=str(tmp_path / "b"), env={})
+        assert facts_of(b) == dict(facts_of(a), ziggurat_check_passed=True)
+    finally:
+        inv.ziggurat_tables.cache_clear()
+    # env.json can say anything without moving the fingerprint
+    with open(os.path.join(b.run_dir, "env.json"), "w") as fh:
+        json.dump(dict(facts_of(a), numpy="0.0", ziggurat_check_passed=False), fh)
+    assert hz.determinism_fingerprint(a.run_dir) == hz.determinism_fingerprint(b.run_dir)
+
+
 def test_run_experiment_env_seed_override(tmp_path):
     res = hz.run_experiment(GUESS_CFG, out_root=str(tmp_path),
                             env={"ULK_SEED": "5"})

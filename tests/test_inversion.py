@@ -209,6 +209,28 @@ def test_parent_draw_matches_generator_choice():
             assert np.array_equal(child, np.r_[pop[i1, :cut], pop[i2, cut:]])
 
 
+def test_replayed_parent_draw_matches_generator_choice():
+    # the same replay on the lab's Philox streams, where ga_breed decodes
+    # the draws from a raw block instead of calling the generator
+    rng = np.random.default_rng(48)
+    for trial in range(1500):
+        n, d = int(rng.integers(4, 65)), int(rng.integers(2, 9))
+        fitness = rng.uniform(size=n) ** rng.uniform(0.5, 8.0)
+        fitness[rng.uniform(size=n) < rng.uniform()] = 0.0  # floored weights
+        if trial % 3 == 0:
+            fitness[rng.integers(n)] = 1.0 - 1e-9
+        pop = np.repeat((np.arange(n) / n)[:, None], d, axis=1)
+        philox = lambda: np.random.Generator(np.random.Philox(trial))
+        children = inv.ga_breed(pop, fitness, 3, 0.0, philox())
+        floored = np.maximum(fitness, inv.FITNESS_FLOOR)
+        replay = philox()
+        for child in children:
+            i1, i2 = replay.choice(n, size=2, p=floored / floored.sum())
+            cut = int(replay.integers(1, d))
+            replay.integers(d), replay.standard_normal()
+            assert np.array_equal(child, np.r_[pop[i1, :cut], pop[i2, cut:]])
+
+
 def test_sigma_schedule_closed_form():
     cfg = inv.GAConfig(sigma0=0.5, decay=0.98)
     assert inv.ga_sigma(cfg, 0) == 0.5
@@ -499,6 +521,29 @@ def test_bb_matches_sequential_reference():
                             == (fit, queries, truncated)
                         assert got_hist == want_hist
                     assert oracle.queries == lone.queries
+
+
+def test_bb_on_two_and_three_genes_matches_sequential_reference():
+    # two genes breed child by child (integers(1, 2) takes no draw), three
+    # replay the raw block; both must match the child-by-child search
+    for dim in (2, 3):
+        model = tiny_model(dim, dim, 3, 8)
+        lone = inv.QueryOracle(lambda x: brute.lone_proba(model, x),
+                               input_shape=(dim,), n_classes=3)
+        for seed in range(3):
+            for budget, rate in ((None, None), (65, None), (None, 0.3)):
+                cfg = inv.GAConfig(population=12, generations=20, elite=2,
+                                   seed=seed, query_budget=budget, mutation_rate=rate)
+                for t in range(3):
+                    got_hist, want_hist = [], []
+                    ipv = inv.invert_blackbox(inv.QueryOracle(model), t, cfg,
+                                              history=got_hist)
+                    probs, fit, queries, truncated = brute.blackbox_sequential(
+                        lone, t, cfg, (dim,), history=want_hist)
+                    assert ipv.probs.tobytes() == probs.tobytes()
+                    assert (ipv.fitness, ipv.queries, ipv.truncated) \
+                        == (fit, queries, truncated)
+                    assert got_hist == want_hist
 
 
 def test_bb_fitness_ties_keep_the_first_best():
