@@ -1,5 +1,8 @@
 """Dataset ingestion, synthetic data generation, and forget-set plumbing.
 
+The parameter attacks' per-class subsets are drawn here too, as row
+indices into the dataset (``per_class_rows``); no sample is copied.
+
 Two sources: the classic IDX binary pair (big-endian headers, u8 payload,
 pixels scaled to [0,1]) and seeded synthetic Gaussian blobs whose features
 are min-max normalized into [0,1] so every dataset shares the box domain
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import struct
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +21,6 @@ from . import rng as rngmod
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
-
-REST_CANDIDATE = "rest-candidate"
-UNLEARN_CANDIDATE = "unlearn-candidate"
 
 
 class IdxFormatError(ValueError):
@@ -90,22 +90,6 @@ class ForgetTask:
             raise ValueError(f"forget classes {sorted(bad)} outside [0,{n_classes})")
         if len(self.forget_classes) >= n_classes:
             raise ValueError("forget set must be a strict subset of the classes")
-
-
-@dataclass(frozen=True)
-class ClassSubset:
-    """k label-pure samples of one class, used to fit an auxiliary head."""
-
-    class_id: int
-    x: np.ndarray
-    role: str = REST_CANDIDATE
-
-    def __post_init__(self):
-        if self.role not in (REST_CANDIDATE, UNLEARN_CANDIDATE):
-            raise ValueError(f"unknown subset role {self.role!r}")
-
-    def as_candidate(self, role: str) -> "ClassSubset":
-        return replace(self, role=role)
 
 
 def _read_idx_header(blob: bytes, expected_magic: int, n_dims: int, what: str):
@@ -183,21 +167,15 @@ def split_forget(dataset: LabeledDataset, task: ForgetTask):
     return d_rest, d_unlearn
 
 
-def per_class_subsets(dataset: LabeledDataset, k: int, m_models: int,
-                      seed: int) -> list:
-    """m_models label-pure subsets of k samples for every class.
-
-    Each subset is drawn without replacement; different subsets of the
-    same class may overlap. Deterministic per (dataset, k, m_models, seed).
-    """
-    return [ClassSubset(class_id=c, x=dataset.x[picked])
-            for c, picked in per_class_rows(dataset, k, m_models, seed)]
-
-
 def per_class_rows(dataset: LabeledDataset, k: int, m_models: int,
                    seed: int) -> list:
-    """The draws of ``per_class_subsets`` as (class_id, row indices into
-    ``dataset.x``) pairs, in the same order."""
+    """m_models label-pure subsets of k samples for every class, as
+    (class_id, row indices into ``dataset.x``) pairs, class by class.
+
+    Each subset is drawn without replacement from its class's own stream;
+    different subsets of the same class may overlap. Deterministic per
+    (dataset, k, m_models, seed).
+    """
     if k < 1 or m_models < 1:
         raise ValueError("need k >= 1 and m_models >= 1")
     out = []

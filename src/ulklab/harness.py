@@ -205,11 +205,6 @@ def _once(make):
     return get
 
 
-def _aux(target, seed: int, aux_draw) -> list:
-    return pa.train_aux_models(target, None, pa.aux_config(seed),
-                               draw=aux_draw())
-
-
 def _attack_cell(cfg, bundle, method: str, seed: int, aux_draw) -> frozenset:
     """The predicted forgotten set of one cell. ``aux_draw()`` gives the
     aux-head draw that the param cells of ``bundle`` share."""
@@ -219,12 +214,14 @@ def _attack_cell(cfg, bundle, method: str, seed: int, aux_draw) -> frozenset:
     target = bundle.unlearned(method).artifact
     # the heads are passed unbound, so param_diff_attack can free them early
     if attack == "param-dot":
-        return pa.param_dot_attack(target, bundle.dataset, bundle.task, seed,
-                                   screen=cfg["screen.criterion"],
-                                   aux=_aux(target, seed, aux_draw)).predicted
+        return pa.param_dot_attack(
+            target, bundle.dataset, bundle.task, seed,
+            screen=cfg["screen.criterion"],
+            aux=pa.train_aux_models(target, aux_draw())).predicted
     if attack == "param-diff":
-        return pa.param_diff_attack(target, bundle.dataset, bundle.task, seed,
-                                    aux=_aux(target, seed, aux_draw)).predicted
+        return pa.param_diff_attack(
+            target, bundle.dataset, bundle.task, seed,
+            aux=pa.train_aux_models(target, aux_draw())).predicted
     alpha = float(cfg["screen.alpha"])
     if attack == "invert-wb":
         ipvs = inv.build_ipv_set(

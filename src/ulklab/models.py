@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,27 +260,10 @@ def clone_frozen_head_template(target: ModelArtifact, seed: int,
                          prov, trainable_from=target.feature_boundary)
 
 
-@dataclass(frozen=True)
-class ParameterVector:
-    values: np.ndarray
-    source: str
-
-
-def source_id(prov: dict) -> str:
-    """Short provenance label of a parameter vector."""
-    bits = [str(prov.get("role", "unknown"))]
-    for key in ("method", "class_id", "seed"):
-        if key in prov:
-            bits.append(f"{key}={prov[key]}")
-    return ":".join(bits)
-
-
-def head_vector(model: ModelArtifact) -> ParameterVector:
+def head_vector(model: ModelArtifact) -> np.ndarray:
     """Flatten the classifier head: row-major weights, then biases."""
     head = model.params[model.feature_boundary]
-    return ParameterVector(np.concatenate([head["W"].ravel(order="C"),
-                                           head["b"].ravel(order="C")]),
-                           source_id(model.provenance))
+    return np.concatenate([head["W"].ravel(order="C"), head["b"].ravel(order="C")])
 
 
 # ---------------------------------------------------------------------------

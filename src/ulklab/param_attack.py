@@ -15,6 +15,12 @@ from scratch and land somewhere else. Two feature sets expose that gap:
 Scalar features are screened by a Youden-index threshold or exact 1-D
 k-means; per class, a majority vote over its auxiliary rows decides
 whether the class lands in the predicted forgotten set.
+
+The heads travel as one array. ``draw_aux`` fixes every head's subset (row
+indices into the dataset), init, class, index and 0/1 label (1 for a
+forgotten class), in output order. ``train_aux_models`` returns one
+target's trained heads as a (heads, head size) matrix beside those
+columns, and the feature sets read that matrix whole.
 """
 
 from collections import defaultdict
@@ -24,10 +30,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng as rngmod
-from .data import (REST_CANDIDATE, UNLEARN_CANDIDATE, ForgetTask,
-                   LabeledDataset, per_class_rows, per_class_subsets)
-from .models import (ModelArtifact, ModelSpec, ParameterVector, aux_init,
-                     head_vector, layers_for_spec, source_id)
+from .data import ForgetTask, LabeledDataset, per_class_rows
+from .models import (ModelArtifact, ModelSpec, aux_init, head_vector,
+                     layers_for_spec)
 from .training import TrainConfig, frozen_features
 from .training import train  # noqa: F401  (perfbench patches it by this name)
 
@@ -40,16 +45,6 @@ AUX_LR = 0.1
 
 ORIENT_LOW = "low"
 ORIENT_HIGH = "high"
-
-
-@dataclass(frozen=True)
-class AuxHead:
-    """One trained auxiliary head and the subset it was fit on."""
-
-    vector: ParameterVector
-    class_id: int
-    aux_id: int
-    role: str
 
 
 def _check_feature_columns(fs) -> None:
@@ -76,7 +71,9 @@ class DotFeatureSet:
 
 
 @dataclass(frozen=True)
-class DiffFeatureSet:
+class _HeadRows:
+    """One 2-D row per auxiliary head, beside its label, class and index."""
+
     vectors: np.ndarray
     labels: np.ndarray
     class_ids: np.ndarray
@@ -84,11 +81,20 @@ class DiffFeatureSet:
 
     def __post_init__(self):
         if self.vectors.ndim != 2:
-            raise ValueError("diff vectors must form a 2-D matrix")
+            raise ValueError("head rows must form a 2-D matrix")
         _check_feature_columns(self)
 
     def __len__(self):
         return len(self.vectors)
+
+
+class AuxVectors(_HeadRows):
+    """One target's trained aux heads, one row each in the layout of
+    ``head_vector``, in their draw's output order."""
+
+
+class DiffFeatureSet(_HeadRows):
+    """``w_aux - w_target`` per auxiliary head."""
 
 
 @dataclass(frozen=True)
@@ -96,114 +102,104 @@ class AuxGroup:
     """The heads of one class whose subsets share a size; they train in
     lockstep. Head ``j`` fits the rows ``rows[j]`` of its draw's ``x``,
     starts from ``init[j]`` (row-major W, then b, as ``head_vector``) and
-    lands at ``positions[j]`` of the output."""
+    lands at row ``positions[j]`` of the output."""
 
     class_id: int
     rows: np.ndarray
-    positions: tuple
-    aux_ids: tuple
-    roles: tuple
-    source: str
+    positions: np.ndarray
     init: np.ndarray
 
 
 @dataclass(frozen=True)
 class AuxDraw:
     """Everything of an aux-head set that no target changes: the subsets,
-    as row indices into ``x``, and each head's init from ``aux_init``,
-    stacked per group. Training copies the stacks, so one draw serves
-    every target of ``spec`` trained under ``seed``.
+    as row indices into ``x``, each head's init from ``aux_init`` stacked
+    per group, and the label, class and index columns in output order.
+    Training copies the stacks, so one draw serves every target of
+    ``spec``; it trains under ``aux_config(seed)``.
     """
 
     spec: ModelSpec
     seed: int
     x: np.ndarray
     groups: tuple
+    labels: np.ndarray
+    class_ids: np.ndarray
+    aux_ids: np.ndarray
 
 
-def _draw(spec: ModelSpec, seed: int, x: np.ndarray, heads: list) -> AuxDraw:
-    """Group ``heads``, one (class_id, rows of ``x``, role) per head in
-    output order, by (class, size), and fill every head's init in place."""
+def _draw(spec: ModelSpec, seed: int, x: np.ndarray, heads: list,
+          forget) -> AuxDraw:
+    """Group ``heads``, one (class_id, rows of ``x``) per head in output
+    order, by (class, size), and draw every head's init. A head is
+    labelled 1 when its class is in ``forget``."""
     n_classes = spec.n_classes
     counters: dict = defaultdict(int)
     members: dict = defaultdict(list)
-    for pos, (class_id, rows, role) in enumerate(heads):
+    aux_ids = []
+    for pos, (class_id, rows) in enumerate(heads):
         if len(rows) == 0:
             raise ValueError(f"class {class_id} subset is empty")
         if not 0 <= class_id < n_classes:
             raise ValueError(f"labels outside [0,{n_classes})")
-        members[(class_id, len(rows))].append((pos, counters[class_id], rows, role))
+        members[(class_id, len(rows))].append((pos, counters[class_id], rows))
+        aux_ids.append(counters[class_id])
         counters[class_id] += 1
     layers, boundary = layers_for_spec(spec)
     n_w = layers[boundary].in_dim * layers[boundary].out_dim
     groups = []
     for (class_id, _), group in members.items():
+        positions, idxs, rows = zip(*group)
         init = np.empty((len(group), n_w + layers[boundary].out_dim))
-        for j, (_, idx, _, _) in enumerate(group):
-            params, prov = aux_init(spec, seed, class_id, idx)
+        for j, idx in enumerate(idxs):
+            params, _ = aux_init(spec, seed, class_id, idx)
             init[j, :n_w] = params[boundary]["W"].ravel()
             init[j, n_w:] = params[boundary]["b"]
-        positions, aux_ids, rows, roles = zip(*group)
-        groups.append(AuxGroup(class_id, np.stack(rows), positions, aux_ids,
-                               roles, source_id(prov), init))
-    return AuxDraw(spec, seed, x, tuple(groups))
+        groups.append(AuxGroup(class_id, np.stack(rows), np.array(positions),
+                               init))
+    class_ids = np.array([c for c, _ in heads], dtype=np.int64)
+    return AuxDraw(spec, seed, x, tuple(groups),
+                   np.isin(class_ids, list(forget)).astype(np.int64),
+                   class_ids, np.array(aux_ids, dtype=np.int64))
 
 
 def draw_aux(spec: ModelSpec, dataset: LabeledDataset, task: ForgetTask,
              seed: int, k: int = DEFAULT_SUBSET_SIZE,
              m_models: int = DEFAULT_MODELS_PER_CLASS) -> AuxDraw:
     """The draw behind the default aux-head set of every target of one
-    (spec, dataset, task, seed): ``per_class_rows`` subsets, labelled
-    unlearn candidates for the forgotten classes."""
+    (spec, dataset, task, seed): ``per_class_rows`` subsets, labelled 1
+    for the forgotten classes."""
     return _draw(spec, seed, dataset.x,
-                 [(c, rows, _role(task, c))
-                  for c, rows in per_class_rows(dataset, k, m_models, seed)])
+                 per_class_rows(dataset, k, m_models, seed),
+                 task.forget_classes)
 
 
-def train_aux_models(target: ModelArtifact, subsets: list | None,
-                     cfg: TrainConfig, draw: AuxDraw | None = None) -> list:
-    """Fit one frozen-feature auxiliary head per subset.
+def train_aux_models(target: ModelArtifact, draw: AuxDraw) -> AuxVectors:
+    """Fit one frozen-feature auxiliary head per head of ``draw``, under
+    ``aux_config(draw.seed)``.
 
-    Head inits are drawn from per-(class, index) streams of ``cfg.seed``
-    (``models.aux_init``), so the batch is deterministic and no two clones
-    share an init. The heads of one class whose subsets share a size train
-    in lockstep as one stacked problem. Each head still takes exactly the
-    steps that ``train(clone_frozen_head_template(...), ...)`` gives it
-    alone, so the vectors match that path bit for bit. Output order
-    follows ``subsets``. The head is the target's final (dense) layer.
-
-    A ``draw`` made ahead (``draw_aux``) replaces ``subsets`` and the init
-    draws, so targets that share one skip both; it must match the target's
-    spec and ``cfg.seed``. The heads of a group are row views of one
-    (heads, head size) array, trained in place.
+    Head inits come from per-(class, index) streams (``models.aux_init``),
+    so the batch is deterministic and no two clones share an init. The
+    heads of one group train in lockstep as one stacked problem, on a copy
+    of the group's inits. Each head still takes exactly the steps that
+    ``train(clone_frozen_head_template(...), ...)`` gives it alone, so the
+    rows match that path bit for bit. The head is the target's final
+    (dense) layer.
     """
-    if draw is None:
-        draw = _draw(target.spec, cfg.seed, *_stack_subsets(target.spec, subsets))
-    elif (draw.spec, draw.seed) != (target.spec, cfg.seed):
-        raise ValueError("aux draw was made for another model spec or seed")
+    if draw.spec != target.spec:
+        raise ValueError("aux draw was made for another model spec")
+    cfg = aux_config(draw.seed)
     boundary = target.feature_boundary
     head = target.layers[boundary]
     n_w = head.in_dim * head.out_dim
-    out = [None] * sum(len(g.positions) for g in draw.groups)
+    vectors = np.empty((len(draw.labels), n_w + head.out_dim))
     for g in draw.groups:
         block = g.init.copy()
         _train_heads(_group_features(target, draw.x[g.rows], boundary),
                      block[:, :n_w].reshape(-1, head.in_dim, head.out_dim),
                      block[:, n_w:], g.class_id, cfg)
-        for pos, idx, role, vec in zip(g.positions, g.aux_ids, g.roles, block):
-            out[pos] = AuxHead(ParameterVector(vec, g.source), g.class_id,
-                               idx, role)
-    return out
-
-
-def _stack_subsets(spec: ModelSpec, subsets: list) -> tuple:
-    """The subsets' samples in one array, and (class_id, rows, role) per
-    subset with its rows in that array."""
-    xs = [np.asarray(s.x, dtype=np.float64) for s in subsets]
-    bounds = np.cumsum([0] + [len(x) for x in xs])
-    return (np.concatenate([np.empty((0,) + spec.input_shape)] + xs),
-            [(s.class_id, np.arange(lo, hi), s.role)
-             for s, lo, hi in zip(subsets, bounds[:-1], bounds[1:])])
+        vectors[g.positions] = block
+    return AuxVectors(vectors, draw.labels, draw.class_ids, draw.aux_ids)
 
 
 def _group_features(target: ModelArtifact, x: np.ndarray,
@@ -248,27 +244,19 @@ def aux_config(seed: int) -> TrainConfig:
                        batch_size=DEFAULT_SUBSET_SIZE, seed=seed)
 
 
-def _label_of(head: AuxHead) -> int:
-    return 1 if head.role == UNLEARN_CANDIDATE else 0
+def dot_features(w_target: np.ndarray, aux: AuxVectors) -> DotFeatureSet:
+    """One scalar row per auxiliary head: its dot product with the target.
+    The stacked product takes each row on its own, bit-equal to
+    ``w_target @ v`` per head; ``vectors @ w_target`` sums in another
+    order."""
+    values = np.matmul(aux.vectors[:, None, :], w_target)[:, 0]
+    return DotFeatureSet(values, aux.labels, aux.class_ids, aux.aux_ids)
 
 
-def dot_features(w_target: ParameterVector, aux: list) -> DotFeatureSet:
-    """One scalar row per auxiliary head: its dot product with the target."""
-    values = [float(w_target.values @ head.vector.values) for head in aux]
-    return DotFeatureSet(np.asarray(values),
-                         np.asarray([_label_of(h) for h in aux]),
-                         np.asarray([h.class_id for h in aux]),
-                         np.asarray([h.aux_id for h in aux]))
-
-
-def diff_features(w_target: ParameterVector, aux: list) -> DiffFeatureSet:
+def diff_features(w_target: np.ndarray, aux: AuxVectors) -> DiffFeatureSet:
     """One vector row per auxiliary head: ``w_aux - w_target``."""
-    rows = np.stack([head.vector.values for head in aux])
-    rows -= w_target.values
-    return DiffFeatureSet(rows,
-                          np.asarray([_label_of(h) for h in aux]),
-                          np.asarray([h.class_id for h in aux]),
-                          np.asarray([h.aux_id for h in aux]))
+    return DiffFeatureSet(aux.vectors - w_target, aux.labels, aux.class_ids,
+                          aux.aux_ids)
 
 
 @dataclass(frozen=True)
@@ -317,17 +305,25 @@ def youden_threshold(scores, labels) -> YoudenResult:
     j = np.empty(2 * len(cuts))
     j[0::2] = tpr - fpr
     j[1::2] = fpr - tpr
-    best, floor = 0, j[0] + 1e-12
-    while True:
-        hits = np.flatnonzero(j[best + 1:] > floor)
-        if hits.size == 0:
-            break
-        best += 1 + int(hits[0])
-        floor = j[best] + 1e-12
+    best, _ = _scan_above(j, -np.inf)  # j is finite, so j[0] opens the scan
     cut, orient = float(cuts[best // 2]), (ORIENT_LOW, ORIENT_HIGH)[best % 2]
     if j[best] <= 1e-12:
         return YoudenResult(cut, orient, 0.0, True)
     return YoudenResult(cut, orient, float(j[best]), False)
+
+
+def _scan_above(scan: np.ndarray, floor: float) -> tuple:
+    """Visit ``scan`` in order; an entry above ``floor`` becomes the best,
+    and the floor becomes that entry + 1e-12. Returns the last best's index
+    (None when no entry rose above the floor) and the final floor."""
+    best, pos = None, 0
+    while True:
+        hits = np.flatnonzero(scan[pos:] > floor)
+        if hits.size == 0:
+            return best, floor
+        best = pos + int(hits[0])
+        floor = scan[best] + 1e-12
+        pos = best + 1
 
 
 @dataclass(frozen=True)
@@ -444,17 +440,10 @@ def _best_split(x: np.ndarray, rows: np.ndarray, y: np.ndarray):
         gain /= n
         np.subtract(parent, gain, out=gain)
         gain[sc[:, 1:] == sc[:, :-1]] = -np.inf
-        scan = gain.ravel()
-        pos = 0
-        while True:
-            hits = np.flatnonzero(scan[pos:] > floor)
-            if hits.size == 0:
-                break
-            pos += int(hits[0])
-            floor = scan[pos] + 1e-12
-            f, i = divmod(pos, n - 1)
+        hit, floor = _scan_above(gain.ravel(), floor)
+        if hit is not None:
+            f, i = divmod(hit, n - 1)
             best = (lo + f, float((sc[f, i] + sc[f, i + 1]) / 2.0))
-            pos += 1
     return best
 
 
@@ -509,14 +498,12 @@ def tree_fit(features: DiffFeatureSet | np.ndarray, labels=None,
 
 def tree_predict(tree: DecisionTree, vectors) -> np.ndarray:
     x = np.asarray(vectors, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != tree.n_features:
-        raise ValueError(f"expected {tree.n_features} features, got {x.shape[1]}")
+    if x.ndim != 2 or x.shape[1] != tree.n_features:
+        raise ValueError(f"expected rows of {tree.n_features} features, "
+                         f"got shape {x.shape}")
     out = np.empty(len(x), dtype=np.int64)
     _route(tree.root, x, np.arange(len(x)), out)
-    return out[0] if single else out
+    return out
 
 
 def _route(node: TreeNode, x: np.ndarray, rows: np.ndarray,
@@ -549,29 +536,11 @@ class ParamAttackResult:
     detail: dict
 
 
-def _role(task: ForgetTask, class_id: int) -> str:
-    return UNLEARN_CANDIDATE if class_id in task.forget_classes \
-        else REST_CANDIDATE
-
-
-def _candidate_subsets(dataset: LabeledDataset, task: ForgetTask,
-                       k: int, m_models: int, seed: int) -> list:
-    return [s.as_candidate(_role(task, s.class_id))
-            for s in per_class_subsets(dataset, k, m_models, seed)]
-
-
-def _default_aux(target: ModelArtifact, dataset: LabeledDataset,
-                 task: ForgetTask, seed: int, k: int, m_models: int) -> list:
-    return train_aux_models(
-        target, None, aux_config(seed),
-        draw=draw_aux(target.spec, dataset, task, seed, k, m_models))
-
-
 def param_dot_attack(target: ModelArtifact, dataset: LabeledDataset,
                      task: ForgetTask, seed: int, screen: str = "youden",
                      k: int = DEFAULT_SUBSET_SIZE,
                      m_models: int = DEFAULT_MODELS_PER_CLASS,
-                     aux: list | None = None) -> ParamAttackResult:
+                     aux: AuxVectors | None = None) -> ParamAttackResult:
     """Dot-product feature attack, screened by Youden cut or 1-D k-means.
 
     The Youden route fits its cut on oracle-labeled rows (the evaluation
@@ -581,7 +550,8 @@ def param_dot_attack(target: ModelArtifact, dataset: LabeledDataset,
     if screen not in ("youden", "kmeans"):
         raise ValueError(f"unknown screen {screen!r}")
     if aux is None:
-        aux = _default_aux(target, dataset, task, seed, k, m_models)
+        aux = train_aux_models(target, draw_aux(target.spec, dataset, task,
+                                                seed, k, m_models))
     feats = dot_features(head_vector(target), aux)
     if screen == "youden":
         cut = youden_threshold(feats.values, feats.labels)
@@ -603,10 +573,11 @@ def param_diff_attack(target: ModelArtifact, dataset: LabeledDataset,
                       max_depth: int = DEFAULT_TREE_DEPTH,
                       k: int = DEFAULT_SUBSET_SIZE,
                       m_models: int = DEFAULT_MODELS_PER_CLASS,
-                      aux: list | None = None) -> ParamAttackResult:
+                      aux: AuxVectors | None = None) -> ParamAttackResult:
     """Difference-vector attack classified by a depth-capped CART tree."""
     if aux is None:
-        aux = _default_aux(target, dataset, task, seed, k, m_models)
+        aux = train_aux_models(target, draw_aux(target.spec, dataset, task,
+                                                seed, k, m_models))
     feats = diff_features(head_vector(target), aux)
     del aux  # only the features are read from here on; free the heads
     tree = tree_fit(feats, max_depth=max_depth)

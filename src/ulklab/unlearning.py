@@ -107,9 +107,6 @@ def fine_tune(model: ModelArtifact, d_rest: LabeledDataset, cfg: TrainConfig,
     _check_rest_split(d_rest, task)
     chash = unlearn_config_hash("ft", task, cfg, lr_multiplier=lr_multiplier)
     prov = {"role": "unlearned", "method": "ft", "seed": cfg.seed}
-    if cfg.epochs == 0:
-        return UnlearnedModel(model.with_params(copy_params(model.params), prov),
-                              "ft", chash, audit=[], trace={"epoch_losses": []})
     result = train(model, d_rest, cfg.scaled(lr_multiplier), provenance=prov)
     return UnlearnedModel(result.model, "ft", chash, audit=result.audit,
                           trace={"epoch_losses": result.epoch_losses})

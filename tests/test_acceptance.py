@@ -178,12 +178,11 @@ def test_c05_parameter_attacks(bundles):
     tree_asr, youden_asr, kmeans_asr = [], [], []
     for seed in SEEDS:
         bundle = bundles(seed)
-        subsets = pa._candidate_subsets(bundle.dataset, bundle.task,
-                                        pa.DEFAULT_SUBSET_SIZE,
-                                        pa.DEFAULT_MODELS_PER_CLASS, seed)
+        draw = pa.draw_aux(bundle.spec, bundle.dataset, bundle.task, seed,
+                           pa.DEFAULT_SUBSET_SIZE, pa.DEFAULT_MODELS_PER_CLASS)
         for method in METHODS:
             target = bundle.unlearned(method).artifact
-            aux = pa.train_aux_models(target, subsets, pa.aux_config(seed))
+            aux = pa.train_aux_models(target, draw)
             truth = bundle.forget
             tree_asr.append(_asr(pa.param_diff_attack(
                 target, bundle.dataset, bundle.task, seed,

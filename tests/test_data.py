@@ -102,25 +102,24 @@ def test_split_forget_rejects_non_strict_subset():
         data.ForgetTask(frozenset())
 
 
-def test_per_class_subsets_shape_purity_and_determinism():
+def test_per_class_rows_shape_purity_and_determinism():
     ds = data.gen_blobs(4, 50, 6, separation=5.0, seed=2)
-    subs = data.per_class_subsets(ds, k=10, m_models=5, seed=9)
-    assert len(subs) == 4 * 5
-    for s in subs:
-        assert s.x.shape == (10, 6)
-        assert s.role == data.REST_CANDIDATE
-    again = data.per_class_subsets(ds, k=10, m_models=5, seed=9)
-    for a, b in zip(subs, again):
-        assert a.class_id == b.class_id and a.x.tobytes() == b.x.tobytes()
+    picks = data.per_class_rows(ds, k=10, m_models=5, seed=9)
+    assert [c for c, _ in picks] == [c for c in range(4) for _ in range(5)]
+    for c, rows in picks:
+        assert rows.shape == (10,)
+        assert (ds.y[rows] == c).all()
+    again = data.per_class_rows(ds, k=10, m_models=5, seed=9)
+    for (ca, a), (cb, b) in zip(picks, again):
+        assert ca == cb and a.tobytes() == b.tobytes()
     # within one subset: sampled without replacement, so rows are distinct
-    rows = {tuple(r) for r in subs[0].x}
-    assert len(rows) == 10
+    assert len(set(picks[0][1].tolist())) == 10
 
 
-def test_per_class_subsets_rejects_small_population():
+def test_per_class_rows_rejects_small_population():
     ds = data.gen_blobs(3, 5, 4, separation=5.0, seed=3)
     with pytest.raises(ValueError, match="need k"):
-        data.per_class_subsets(ds, k=6, m_models=2, seed=0)
+        data.per_class_rows(ds, k=6, m_models=2, seed=0)
 
 
 def test_unfiltered_dataset_requires_every_class():
@@ -141,14 +140,6 @@ def test_dataset_rejects_non_finite_features_naming_the_row(bad):
     with pytest.raises(ValueError, match="row 0"):
         data.LabeledDataset(x[4:], np.array([0, 1]), n_classes=2)
     assert len(data.LabeledDataset(x[:4], np.array([0, 1, 0, 1]), n_classes=2)) == 4
-
-
-def test_class_subset_role_validation():
-    s = data.ClassSubset(0, np.zeros((2, 3)))
-    flipped = s.as_candidate(data.UNLEARN_CANDIDATE)
-    assert flipped.role == data.UNLEARN_CANDIDATE
-    with pytest.raises(ValueError, match="role"):
-        data.ClassSubset(0, np.zeros((2, 3)), role="other")
 
 
 def test_load_dataset_rejects_truncated_and_bit_flipped_archives(tmp_path):

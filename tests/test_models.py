@@ -18,7 +18,7 @@ def test_build_is_deterministic_per_seed():
 def test_head_vector_length_counts_weights_and_biases():
     spec = models.mlp_spec(4, 3, hidden=8)
     m = models.build(spec, seed=0)
-    assert models.head_vector(m).values.shape == (8 * 3 + 3,)
+    assert models.head_vector(m).shape == (8 * 3 + 3,)
 
 
 def test_head_vector_hand_set_flatten_order():
@@ -27,14 +27,14 @@ def test_head_vector_hand_set_flatten_order():
     m.params[m.feature_boundary]["W"] = np.array([[1.0, 2.0], [3.0, 4.0]])
     m.params[m.feature_boundary]["b"] = np.array([5.0, 6.0])
     v = models.head_vector(m)
-    assert np.array_equal(v.values, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert np.array_equal(v, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
 
 def test_head_vector_is_injective_on_distinct_heads():
     spec = models.mlp_spec(3, 2, hidden=4)
     a = models.build(spec, seed=1)
     b = models.build(spec, seed=2)
-    assert not np.array_equal(models.head_vector(a).values, models.head_vector(b).values)
+    assert not np.array_equal(models.head_vector(a), models.head_vector(b))
 
 
 def test_clone_copies_features_and_reinits_head():

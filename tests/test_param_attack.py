@@ -5,29 +5,23 @@ import numpy as np
 import pytest
 
 from ulklab import param_attack as pa
-from ulklab.data import (REST_CANDIDATE, UNLEARN_CANDIDATE, ClassSubset,
-                         LabeledDataset, per_class_subsets)
-from ulklab.models import (ParameterVector, build, clone_frozen_head_template,
-                           cnn_spec, head_vector)
-from ulklab.training import TrainConfig, train
+from ulklab.data import LabeledDataset, per_class_rows
+from ulklab.models import (build, clone_frozen_head_template, cnn_spec,
+                           head_vector)
+from ulklab.training import train
 
 import brute
 
 
 def _mk_aux(vectors, class_ids, forget=()):
-    out = []
-    counts = {}
-    for vec, c in zip(vectors, class_ids):
-        idx = counts.get(c, 0)
-        counts[c] = idx + 1
-        role = UNLEARN_CANDIDATE if c in forget else REST_CANDIDATE
-        out.append(pa.AuxHead(ParameterVector(np.asarray(vec, dtype=np.float64),
-                                              f"hand-{c}-{idx}"), c, idx, role))
-    return out
+    aux_ids = [list(class_ids[:i]).count(c) for i, c in enumerate(class_ids)]
+    return pa.AuxVectors(np.asarray(vectors, dtype=np.float64),
+                         np.isin(class_ids, list(forget)).astype(np.int64),
+                         np.asarray(class_ids), np.asarray(aux_ids))
 
 
 def test_dot_features_self_and_orthogonal():
-    w = ParameterVector(np.array([3.0, 4.0]), "target")
+    w = np.array([3.0, 4.0])
     aux = _mk_aux([[3.0, 4.0], [-4.0, 3.0]], [0, 1])
     feats = pa.dot_features(w, aux)
     assert feats.values[0] == pytest.approx(25.0)
@@ -35,10 +29,11 @@ def test_dot_features_self_and_orthogonal():
     assert list(feats.labels) == [0, 0]
 
 
-@pytest.mark.parametrize("kind", ["dot", "diff"])
+@pytest.mark.parametrize("kind", ["dot", "diff", "aux"])
 def test_feature_sets_reject_misaligned_columns_and_bad_labels(kind):
     rows = np.zeros(3) if kind == "dot" else np.zeros((3, 2))
-    make = pa.DotFeatureSet if kind == "dot" else pa.DiffFeatureSet
+    make = {"dot": pa.DotFeatureSet, "diff": pa.DiffFeatureSet,
+            "aux": pa.AuxVectors}[kind]
     ids = np.arange(3)
     assert len(make(rows, np.array([0, 1, 0]), ids, ids)) == 3
     with pytest.raises(ValueError, match="share one length"):
@@ -47,13 +42,13 @@ def test_feature_sets_reject_misaligned_columns_and_bad_labels(kind):
         make(rows, np.array([0, 1, 0]), ids, ids[:2])
     with pytest.raises(ValueError, match="0 \\(rest\\) or 1"):
         make(rows, np.array([0, 2, 0]), ids, ids)
-    if kind == "diff":
+    if kind != "dot":
         with pytest.raises(ValueError, match="2-D"):
             make(np.zeros(3), np.array([0, 1, 0]), ids, ids)
 
 
 def test_diff_features_rows_and_labels():
-    w = ParameterVector(np.array([1.0, 1.0, 1.0]), "target")
+    w = np.array([1.0, 1.0, 1.0])
     aux = _mk_aux([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], [0, 3], forget={3})
     feats = pa.diff_features(w, aux)
     assert feats.vectors.shape == (2, 3)
@@ -304,7 +299,8 @@ def test_tree_predict_shape_checks():
     tree = pa.tree_fit(np.array([[0.0], [1.0]]), np.array([0, 1]))
     with pytest.raises(ValueError, match="features"):
         pa.tree_predict(tree, np.zeros((2, 3)))
-    assert pa.tree_predict(tree, np.array([0.2])) == 0
+    with pytest.raises(ValueError, match="features"):
+        pa.tree_predict(tree, np.array([0.2]))
     with pytest.raises(ValueError, match="labels"):
         pa.tree_fit(np.array([[0.0], [1.0]]), np.array([0, 2]))
 
@@ -317,26 +313,32 @@ def test_infer_forgotten_majority_and_tie():
     assert got == frozenset({0, 1})
 
 
+def _rows_draw(bundle, k, m_models, seed):
+    return pa.draw_aux(bundle.spec, bundle.dataset, bundle.task, seed, k=k,
+                       m_models=m_models)
+
+
 def test_train_aux_models_freeze_and_determinism(bundles):
     bundle = bundles(0)
     target = bundle.unlearned("rt").artifact
-    subsets = per_class_subsets(bundle.dataset, k=10, m_models=1, seed=7)[:3]
-    aux1 = pa.train_aux_models(target, subsets, replace(pa.aux_config(7), epochs=4))
-    aux2 = pa.train_aux_models(target, subsets, replace(pa.aux_config(7), epochs=4))
-    for a, b in zip(aux1, aux2):
-        assert np.array_equal(a.vector.values, b.vector.values)
+    heads = per_class_rows(bundle.dataset, k=10, m_models=1, seed=7)[:3]
+    draw = pa._draw(bundle.spec, 7, bundle.dataset.x, heads, ())
+    aux1 = pa.train_aux_models(target, draw)
+    aux2 = pa.train_aux_models(target, draw)
+    assert aux1.vectors.tobytes() == aux2.vectors.tobytes()
     # fresh heads differ from the target's
-    assert not np.allclose(aux1[0].vector.values, head_vector(target).values)
+    assert not np.allclose(aux1.vectors[0], head_vector(target))
 
 
 def test_aux_model_features_bit_frozen(bundles):
     bundle = bundles(0)
     target = bundle.unlearned("rt").artifact
-    sub = per_class_subsets(bundle.dataset, k=10, m_models=1, seed=7)[0]
-    template = clone_frozen_head_template(target, 7, class_id=sub.class_id,
+    class_id, rows = per_class_rows(bundle.dataset, k=10, m_models=1, seed=7)[0]
+    template = clone_frozen_head_template(target, 7, class_id=class_id,
                                           index=0)
-    y = np.full(len(sub.x), sub.class_id, dtype=np.int64)
-    ds = LabeledDataset(sub.x, y, n_classes=10, split="aux", filtered=True)
+    y = np.full(len(rows), class_id, dtype=np.int64)
+    ds = LabeledDataset(bundle.dataset.x[rows], y, n_classes=10, split="aux",
+                        filtered=True)
     trained = train(template, ds, replace(pa.aux_config(7), epochs=4)).model
     for i in range(target.feature_boundary):
         for key, val in target.params[i].items():
@@ -346,31 +348,45 @@ def test_aux_model_features_bit_frozen(bundles):
 def test_aux_model_learns_its_class(bundles):
     bundle = bundles(0)
     target = bundle.unlearned("rt").artifact
-    subsets = per_class_subsets(bundle.dataset, k=20, m_models=1, seed=11)
+    heads = per_class_rows(bundle.dataset, k=20, m_models=1, seed=11)
     aux_cfg = pa.aux_config(11)
-    for sub in (subsets[2], subsets[8]):
+    for class_id, rows in (heads[2], heads[8]):
+        x = bundle.dataset.x[rows]
         template = clone_frozen_head_template(target, 11,
-                                              class_id=sub.class_id, index=0)
-        y = np.full(len(sub.x), sub.class_id, dtype=np.int64)
-        ds = LabeledDataset(sub.x, y, n_classes=10,
-                            split="aux", filtered=True)
+                                              class_id=class_id, index=0)
+        y = np.full(len(x), class_id, dtype=np.int64)
+        ds = LabeledDataset(x, y, n_classes=10, split="aux", filtered=True)
         trained = train(template, ds, aux_cfg).model
-        mean_logits = trained.logits(sub.x).mean(axis=0)
-        assert int(np.argmax(mean_logits)) == sub.class_id
+        mean_logits = trained.logits(x).mean(axis=0)
+        assert int(np.argmax(mean_logits)) == class_id
 
 
 def test_train_aux_models_rejects_empty_subset(bundles):
     bundle = bundles(0)
-    target = bundle.unlearned("rt").artifact
-    empty = ClassSubset(class_id=0, x=np.empty((0, 32)))
+    spec, x = bundle.spec, bundle.dataset.x
+    empty = (0, np.arange(0))
     with pytest.raises(ValueError, match="empty"):
-        pa.train_aux_models(target, [empty], pa.aux_config(0))
-    full = per_class_subsets(bundle.dataset, k=10, m_models=1, seed=7)[0]
+        pa._draw(spec, 0, x, [empty], ())
+    full = per_class_rows(bundle.dataset, k=10, m_models=1, seed=7)[0]
     with pytest.raises(ValueError, match="empty"):
-        pa.train_aux_models(target, [full, empty], pa.aux_config(0))
+        pa._draw(spec, 0, x, [full, empty], ())
     with pytest.raises(ValueError, match="outside"):
-        pa.train_aux_models(target, [ClassSubset(class_id=10, x=full.x)],
-                            pa.aux_config(0))
+        pa._draw(spec, 0, x, [(10, full[1])], ())
+
+
+def _per_head_reference(target, x, heads, seed):
+    """Each head of ``heads`` trained alone from its template, in order."""
+    seen: dict = {}
+    for class_id, rows in heads:
+        idx = seen.setdefault(class_id, 0)
+        seen[class_id] += 1
+        template = clone_frozen_head_template(target, seed, class_id=class_id,
+                                              index=idx)
+        ds = LabeledDataset(x[rows], np.full(len(rows), class_id),
+                            n_classes=target.spec.n_classes, split="aux",
+                            filtered=True)
+        yield class_id, idx, head_vector(train(template, ds,
+                                               pa.aux_config(seed)).model)
 
 
 # the ids keep the names these cases carried beside their momentum twins
@@ -380,82 +396,76 @@ def test_train_aux_models_matches_per_head_training(bundles, k):
     # k = 25 at batch size 20 leaves a partial last batch
     bundle = bundles(0)
     target = bundle.unlearned("ng").artifact
-    subsets = pa._candidate_subsets(bundle.dataset, bundle.task, k, 2, 3)
-    subsets = subsets[1::2] + subsets[::2]
-    cfg = TrainConfig(epochs=4, lr=0.1, batch_size=20, seed=3)
-    got = pa.train_aux_models(target, subsets, cfg)
-    assert len(got) == len(subsets)
-    seen: dict = {}
-    for sub, head in zip(subsets, got):
-        idx = seen.setdefault(sub.class_id, 0)
-        seen[sub.class_id] += 1
-        template = clone_frozen_head_template(target, cfg.seed,
-                                              class_id=sub.class_id, index=idx)
-        ds = LabeledDataset(sub.x, np.full(k, sub.class_id), n_classes=10,
-                            split="aux", filtered=True)
-        want = head_vector(train(template, ds, cfg).model)
-        assert head.vector.values.tobytes() == want.values.tobytes()
-        assert head.vector.source == want.source
-        assert (head.class_id, head.aux_id, head.role) == \
-            (sub.class_id, idx, sub.role)
+    heads = per_class_rows(bundle.dataset, k, 2, 3)
+    heads = heads[1::2] + heads[::2]
+    forget = bundle.task.forget_classes
+    got = pa.train_aux_models(target, pa._draw(bundle.spec, 3, bundle.dataset.x,
+                                               heads, forget))
+    assert len(got) == len(heads)
+    for i, (class_id, idx, want) in enumerate(
+            _per_head_reference(target, bundle.dataset.x, heads, 3)):
+        assert got.vectors[i].tobytes() == want.tobytes()
+        assert (got.class_ids[i], got.aux_ids[i], got.labels[i]) == \
+            (class_id, idx, int(class_id in forget))
 
 
 def test_train_aux_models_on_a_cnn_matches_per_head_training():
     # image subsets take the frozen conv layers one subset at a time
     target = build(cnn_spec(12, 12, 1, 4), 0)
-    rng = np.random.default_rng(505)
-    subsets = [ClassSubset(class_id=c, x=rng.random((6, 12, 12, 1)))
-               for c in (1, 2, 1)]
-    cfg = TrainConfig(epochs=3, lr=0.1, batch_size=4, seed=5)
-    got = pa.train_aux_models(target, subsets, cfg)
-    for sub, head, idx in zip(subsets, got, (0, 0, 1)):
-        template = clone_frozen_head_template(target, cfg.seed,
-                                              class_id=sub.class_id, index=idx)
-        ds = LabeledDataset(sub.x, np.full(6, sub.class_id), n_classes=4,
-                            split="aux", filtered=True)
-        want = head_vector(train(template, ds, cfg).model)
-        assert head.vector.values.tobytes() == want.values.tobytes()
+    x = np.random.default_rng(505).random((18, 12, 12, 1))
+    heads = [(1, np.arange(0, 6)), (2, np.arange(6, 12)), (1, np.arange(12, 18))]
+    got = pa.train_aux_models(target, pa._draw(target.spec, 5, x, heads, ()))
+    refs = list(_per_head_reference(target, x, heads, 5))
+    assert [idx for _, idx, _ in refs] == [0, 0, 1]
+    for row, (_, _, want) in zip(got.vectors, refs):
+        assert row.tobytes() == want.tobytes()
 
 
 # SHA-256 of the 500 default head vectors of seed 0's rt target, forget {3}
 AUX_HEADS_SEED0_RT = "d32e9fdeeef31a02c67aa311f4161df9a8d5332157f6f04f3a7751af36a91162"
 
 
+def _default_heads(bundle, seed):
+    return pa.train_aux_models(bundle.unlearned("rt").artifact,
+                               pa.draw_aux(bundle.spec, bundle.dataset,
+                                           bundle.task, seed))
+
+
 def test_aux_heads_are_pinned(bundles):
     bundle = bundles(0)
     assert bundle.forget == frozenset({3})
-    target = bundle.unlearned("rt").artifact
-    aux = pa._default_aux(target, bundle.dataset, bundle.task, 0,
-                          pa.DEFAULT_SUBSET_SIZE, pa.DEFAULT_MODELS_PER_CLASS)
+    aux = _default_heads(bundle, 0)
     assert len(aux) == 500
-    digest = hashlib.sha256()
-    for head in aux:
-        digest.update(head.vector.values.tobytes())
-    assert digest.hexdigest() == AUX_HEADS_SEED0_RT
+    assert hashlib.sha256(aux.vectors.tobytes()).hexdigest() == AUX_HEADS_SEED0_RT
+
+
+def test_dot_features_equal_per_head_products_bit_for_bit(bundles):
+    # the stacked product must sum each row as the lone w @ v does
+    bundle = bundles(0)
+    aux = _default_heads(bundle, 0)
+    w = head_vector(bundle.unlearned("rt").artifact)
+    want = np.array([float(w @ v) for v in aux.vectors])
+    assert pa.dot_features(w, aux).values.tobytes() == want.tobytes()
 
 
 def test_shared_draw_matches_fresh_draws_for_every_target(bundles):
-    # one draw serves several targets: each must get the heads that
-    # drawing from its own subsets gives, and the draw must stay as made
+    # one draw serves several targets: each must get the heads that a
+    # fresh draw of its own gives, and the draw must stay as made
     bundle = bundles(0)
-    cfg = pa.aux_config(3)
-    draw = pa.draw_aux(bundle.spec, bundle.dataset, bundle.task, 3, k=20,
-                       m_models=4)
+    draw = _rows_draw(bundle, 20, 4, 3)
     inits = [g.init.copy() for g in draw.groups]
-    subsets = pa._candidate_subsets(bundle.dataset, bundle.task, 20, 4, 3)
     for method in ("rt", "ng", "rt"):
         target = bundle.unlearned(method).artifact
-        got = pa.train_aux_models(target, None, cfg, draw=draw)
-        want = pa.train_aux_models(target, subsets, cfg)
+        got = pa.train_aux_models(target, draw)
+        want = pa.train_aux_models(target, _rows_draw(bundle, 20, 4, 3))
         assert len(got) == len(want) == 40
-        for a, b in zip(got, want):
-            assert a.vector.values.tobytes() == b.vector.values.tobytes()
-            assert (a.vector.source, a.class_id, a.aux_id, a.role) == \
-                (b.vector.source, b.class_id, b.aux_id, b.role)
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        for col in ("labels", "class_ids", "aux_ids"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
         assert all(g.init.tobytes() == init.tobytes()
                    for g, init in zip(draw.groups, inits))
-    with pytest.raises(ValueError, match="another model spec or seed"):
-        pa.train_aux_models(target, None, pa.aux_config(4), draw=draw)
+    with pytest.raises(ValueError, match="another model spec"):
+        pa.train_aux_models(build(cnn_spec(12, 12, 1, 10), 0), draw)
 
 
 def test_dot_separation_on_benchmark(bundles):
@@ -464,9 +474,7 @@ def test_dot_separation_on_benchmark(bundles):
     for seed in range(5):
         bundle = bundles(seed)
         target = bundle.unlearned("rt").artifact
-        subsets = pa._candidate_subsets(bundle.dataset, bundle.task,
-                                        k=20, m_models=6, seed=seed)
-        aux = pa.train_aux_models(target, subsets, pa.aux_config(seed))
+        aux = pa.train_aux_models(target, _rows_draw(bundle, 20, 6, seed))
         feats = pa.dot_features(head_vector(target), aux)
         unlearn_mean = feats.values[feats.labels == 1].mean()
         rest_mean = feats.values[feats.labels == 0].mean()
@@ -478,9 +486,7 @@ def test_param_attacks_end_to_end(bundles):
     # supervised routes are already exact at a third of that
     bundle = bundles(0)
     target = bundle.unlearned("rt").artifact
-    subsets = pa._candidate_subsets(bundle.dataset, bundle.task,
-                                    k=20, m_models=30, seed=0)
-    aux = pa.train_aux_models(target, subsets, pa.aux_config(0))
+    aux = pa.train_aux_models(target, _rows_draw(bundle, 20, 30, 0))
     youden = pa.param_dot_attack(target, bundle.dataset, bundle.task, 0,
                                  screen="youden", aux=aux)
     kmeans = pa.param_dot_attack(target, bundle.dataset, bundle.task, 0,
