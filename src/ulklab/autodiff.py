@@ -69,13 +69,12 @@ class Relu:
 
 @dataclass(frozen=True)
 class Conv2D:
-    """Stride-1 2-D convolution; x (N,H,W,C), K (kh,kw,Cin,Cout), b (Cout,)."""
+    """Stride-1 "valid" 2-D convolution; x (N,H,W,C), K (kh,kw,Cin,Cout), b (Cout,)."""
 
     kh: int
     kw: int
     in_ch: int
     out_ch: int
-    padding: str = "valid"
 
     def forward(self, p, x, i, rows):
         kh, kw, cin, cout = p["K"].shape
@@ -83,38 +82,33 @@ class Conv2D:
         if x.ndim != 4 or x.shape[3] != cin:
             raise ShapeMismatch(f"layer {i} (conv2d): expected NHWC input with {cin} "
                                 f"channels, got shape {x.shape}")
-        if self.padding not in ("same", "valid"):
-            raise ValueError(f"unknown padding {self.padding!r}")
-        same = self.padding == "same"
-        ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if same else (0, 0)
-        xp = np.pad(x, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw), (0, 0))) if same else x
-        n, hp, wp, _ = xp.shape
-        ho, wo = hp - kh + 1, wp - kw + 1
+        n, h, w, _ = x.shape
+        ho, wo = h - kh + 1, w - kw + 1
         if ho <= 0 or wo <= 0:
             raise ShapeMismatch(f"layer {i} (conv2d): kernel {kh}x{kw} larger than "
-                                f"input {hp}x{wp}")
+                                f"input {h}x{w}")
         out = np.broadcast_to(p["b"], (n, ho, wo, cout)).copy()
         for a, c in np.ndindex(kh, kw):
-            xs, k = xp[:, a:a + ho, c:c + wo, :], p["K"][a, c]
+            xs, k = x[:, a:a + ho, c:c + wo, :], p["K"][a, c]
             out += _rowwise(xs, k) if rows else np.tensordot(xs, k, axes=([3], [0]))
-        return out, (xp, x.shape, ph, pw)
+        return out, x
 
-    def backward(self, p, cache, g, grads, need_dx, rows):
-        (xp, shape, ph, pw), k = cache, p["K"]
+    def backward(self, p, x, g, grads, need_dx, rows):
+        k = p["K"]
         ho, wo = g.shape[1:3]
         if grads is not None:
             grads["K"] = np.zeros_like(k)
             for a, c in np.ndindex(k.shape[:2]):
-                grads["K"][a, c] = np.tensordot(xp[:, a:a + ho, c:c + wo, :], g,
+                grads["K"][a, c] = np.tensordot(x[:, a:a + ho, c:c + wo, :], g,
                                                 axes=([0, 1, 2], [0, 1, 2]))
             grads["b"] = g.sum(axis=(0, 1, 2))
         if not need_dx:
             return None
-        dxp = np.zeros_like(xp)
+        dx = np.zeros_like(x)
         for a, c in np.ndindex(k.shape[:2]):
-            dxp[:, a:a + ho, c:c + wo, :] += (_rowwise(g, k[a, c].T) if rows else
-                                              np.tensordot(g, k[a, c], axes=([3], [1])))
-        return dxp[:, ph:ph + shape[1], pw:pw + shape[2], :]
+            dx[:, a:a + ho, c:c + wo, :] += (_rowwise(g, k[a, c].T) if rows else
+                                             np.tensordot(g, k[a, c], axes=([3], [1])))
+        return dx
 
 
 @dataclass(frozen=True)

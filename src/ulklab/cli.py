@@ -72,6 +72,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_unlearn(args) -> int:
+    if args.method in ("rt", "au") and args.model:
+        raise ValueError(f"method {args.method!r} trains its own original; "
+                         f"drop --model")
     dataset = load_dataset(args.data)
     forget = frozenset(parse_ids(args.forget, "--forget"))
     task = ForgetTask(forget, dataset_id=dataset.split)
@@ -106,15 +109,13 @@ def cmd_attack_param(args) -> int:
     forget = frozenset(parse_ids(args.forget, "--forget"))
     task = ForgetTask(forget, dataset_id=dataset.split)
     task.validate_against(dataset.n_classes)
+    heads = pa.train_aux_models(model, pa.draw_aux(
+        model.spec, dataset, task, args.seed, args.k, args.m_models))
     if args.kind == "param-dot":
-        res = pa.param_dot_attack(model, dataset, task, args.seed,
-                                  screen=args.screen, k=args.k,
-                                  m_models=args.m_models)
+        res = pa.param_dot_attack(model, heads, args.screen)
         criterion = args.screen
     else:
-        res = pa.param_diff_attack(model, dataset, task, args.seed,
-                                   max_depth=args.depth, k=args.k,
-                                   m_models=args.m_models)
+        res = pa.param_diff_attack(model, heads, args.depth)
         criterion = "tree"
     predicted = sorted(res.predicted)
     payload = {

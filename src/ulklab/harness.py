@@ -215,13 +215,11 @@ def _attack_cell(cfg, bundle, method: str, seed: int, aux_draw) -> frozenset:
     # the heads are passed unbound, so param_diff_attack can free them early
     if attack == "param-dot":
         return pa.param_dot_attack(
-            target, bundle.dataset, bundle.task, seed,
-            screen=cfg["screen.criterion"],
-            aux=pa.train_aux_models(target, aux_draw())).predicted
+            target, pa.train_aux_models(target, aux_draw()),
+            cfg["screen.criterion"]).predicted
     if attack == "param-diff":
         return pa.param_diff_attack(
-            target, bundle.dataset, bundle.task, seed,
-            aux=pa.train_aux_models(target, aux_draw())).predicted
+            target, pa.train_aux_models(target, aux_draw())).predicted
     alpha = float(cfg["screen.alpha"])
     if attack == "invert-wb":
         ipvs = inv.build_ipv_set(

@@ -10,10 +10,11 @@ prediction of the forgotten set.
 White-box: multi-start gradient descent on
 ``CE(M(x), t) + lam_l2*||x||^2 + lam_tv*TV(x)``, starting from standard
 Gaussian draws and keeping the final iterate with the lowest
-cross-entropy. TV only applies to image inputs; vector data uses 0. Every
-restart of every class descends as one row of a single batch in
-autodiff's rows mode, so each row's bits equal those of a lone descent. A
-row stops at its first non-finite loss (the restart is dropped) or
+cross-entropy. TV only applies to image inputs; vector data uses 0.
+``invert_whitebox`` takes a list of classes, and every restart of every
+class descends as one row of a single batch in autodiff's rows mode, so
+each row's bits equal those of a lone descent (``wb_descend``). A row
+stops at its first non-finite loss (the restart is dropped) or
 non-finite iterate (the inversion fails as a lone descent would).
 
 Black-box: a genetic algorithm over [0,1]^d that sees nothing but the
@@ -278,14 +279,15 @@ def wb_descend(model: ModelArtifact, target: int, x0: np.ndarray,
     return x[0], float(initial[0]), float(final[0]), bool(state[0] == _CONVERGED)
 
 
-def _invert_whitebox_classes(model: ModelArtifact, targets,
-                             cfg: InversionConfigWB | None = None) -> list:
+def invert_whitebox(model: ModelArtifact, targets,
+                    cfg: InversionConfigWB | None = None) -> list:
     """Best-of-K gradient inversion of each class in ``targets``, with all
-    classes' restarts descended as one batch.
+    classes' restarts descended as one batch; one IPV per class, in order.
 
-    Each class draws its K starts from its own stream. Diverged restarts
-    are dropped without replacement so the compute budget stays fixed.
-    Classes are checked in order: the first with a non-finite iterate
+    Each class draws its K starts from its own stream and keeps its
+    lowest-CE final iterate, so its IPV is the one it gets alone. Diverged
+    restarts are dropped without replacement so the compute budget stays
+    fixed. Classes are checked in order: the first with a non-finite iterate
     raises forward's ValueError, the first with no surviving restart
     AllInitsDiverged.
     """
@@ -318,14 +320,6 @@ def _invert_whitebox_classes(model: ModelArtifact, targets,
             raise AllInitsDiverged(f"all {k} inits diverged for class {t}")
         ipvs.append(_ipv(t, probs[best], float(probs[best, t]), queries=0))
     return ipvs
-
-
-def invert_whitebox(model: ModelArtifact, target: int,
-                    cfg: InversionConfigWB | None = None
-                    ) -> InvertedPredictionVector:
-    """Best-of-K gradient inversion of one class; keeps the lowest-CE final
-    iterate. AllInitsDiverged if every restart diverges."""
-    return _invert_whitebox_classes(model, [target], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +567,7 @@ def build_ipv_set(attack: str, target, cfg=None,
     if attack == "wb":
         if not isinstance(target, ModelArtifact):
             raise TypeError("white-box inversion needs the model itself")
-        return _invert_whitebox_classes(target, range(target.spec.n_classes), cfg)
+        return invert_whitebox(target, range(target.spec.n_classes), cfg)
     if attack == "bb":
         oracle = target if isinstance(target, QueryOracle) else QueryOracle(target)
         n = n_classes if n_classes is not None else oracle.n_classes

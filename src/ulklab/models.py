@@ -41,7 +41,7 @@ DIGEST_BYTES = 32
 FORWARD_CHUNK = 512  # rows per batch-mode forward pass; bounds its memory
 
 
-class CheckpointError(Exception):
+class CheckpointError(ValueError):
     """Base class for checkpoint parse failures."""
 
 
@@ -59,6 +59,10 @@ class CheckpointTruncatedError(CheckpointError):
 
 class CheckpointArrayError(CheckpointError):
     """Declared shapes/byte counts disagree with the payload."""
+
+
+class CheckpointDescriptorError(CheckpointError):
+    """The descriptor is not UTF-8 JSON, lacks a field or holds a bad value."""
 
 
 class CheckpointDigestError(CheckpointError):
@@ -300,6 +304,16 @@ def save_checkpoint(model: ModelArtifact, path: str) -> str:
 def load_checkpoint(path: str) -> ModelArtifact:
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _parse_checkpoint(path, raw)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # JSON errors included
+        raise CheckpointDescriptorError(
+            f"{path}: bad descriptor: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_checkpoint(path: str, raw: bytes) -> ModelArtifact:
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise CheckpointMagicError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 10:
@@ -312,10 +326,7 @@ def load_checkpoint(path: str) -> ModelArtifact:
     (desc_len,) = struct.unpack_from("<I", raw, 6)
     if body_end < 10 + desc_len:
         raise CheckpointTruncatedError(f"{path}: descriptor truncated")
-    try:
-        desc = json.loads(raw[10:10 + desc_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: descriptor is not valid JSON: {exc}") from exc
+    desc = json.loads(raw[10:10 + desc_len].decode("utf-8"))
     spec = ModelSpec(desc["spec"]["kind"], tuple(desc["spec"]["dims"]),
                      tuple(desc["spec"]["input_shape"]), desc["spec"]["n_classes"])
     layers, boundary = layers_for_spec(spec)

@@ -5,7 +5,7 @@ subset it trains an auxiliary model: the target's feature extractor is
 frozen and a freshly initialized head is fit on the subset alone. Heads
 trained on classes the target still knows end up aligned with the
 target's own head; heads trained on a forgotten class have to relearn it
-from scratch and land somewhere else. Two feature sets expose that gap:
+from scratch and land somewhere else. Two features expose that gap:
 
 - dot features: the scalar ``<w_target, w_aux>`` per auxiliary model,
   consistently smaller when the auxiliary class was forgotten;
@@ -17,10 +17,11 @@ k-means; per class, a majority vote over its auxiliary rows decides
 whether the class lands in the predicted forgotten set.
 
 The heads travel as one array. ``draw_aux`` fixes every head's subset (row
-indices into the dataset), init, class, index and 0/1 label (1 for a
-forgotten class), in output order. ``train_aux_models`` returns one
-target's trained heads as a (heads, head size) matrix beside those
-columns, and the feature sets read that matrix whole.
+indices into the dataset), init, class and 0/1 label (1 for a forgotten
+class), in output order. ``train_aux_models`` returns one target's trained
+heads as a (heads, head size) matrix beside the label and class columns.
+Both attacks take those heads: ``dot_features`` turns them into a
+(heads,) array and ``diff_features`` into a (heads, head size) matrix.
 """
 
 from collections import defaultdict
@@ -47,54 +48,26 @@ ORIENT_LOW = "low"
 ORIENT_HIGH = "high"
 
 
-def _check_feature_columns(fs) -> None:
-    """The rows of a feature set and its label/class/aux columns align, and
-    every label is 0 (rest) or 1 (unlearn)."""
-    if not (len(fs.labels) == len(fs.class_ids) == len(fs.aux_ids) == len(fs)):
-        raise ValueError("feature columns must share one length")
-    if not np.isin(fs.labels, (0, 1)).all():
-        raise ValueError("labels must be 0 (rest) or 1 (unlearn)")
-
-
 @dataclass(frozen=True)
-class DotFeatureSet:
-    values: np.ndarray
-    labels: np.ndarray
-    class_ids: np.ndarray
-    aux_ids: np.ndarray
-
-    def __post_init__(self):
-        _check_feature_columns(self)
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class _HeadRows:
-    """One 2-D row per auxiliary head, beside its label, class and index."""
+class AuxVectors:
+    """One target's trained aux heads, one row each in the layout of
+    ``head_vector`` and in their draw's output order, beside each head's
+    0/1 label (1 for a forgotten class) and class."""
 
     vectors: np.ndarray
     labels: np.ndarray
     class_ids: np.ndarray
-    aux_ids: np.ndarray
 
     def __post_init__(self):
         if self.vectors.ndim != 2:
             raise ValueError("head rows must form a 2-D matrix")
-        _check_feature_columns(self)
+        if not len(self.labels) == len(self.class_ids) == len(self.vectors):
+            raise ValueError("head columns must share one length")
+        if not np.isin(self.labels, (0, 1)).all():
+            raise ValueError("labels must be 0 (rest) or 1 (unlearn)")
 
     def __len__(self):
         return len(self.vectors)
-
-
-class AuxVectors(_HeadRows):
-    """One target's trained aux heads, one row each in the layout of
-    ``head_vector``, in their draw's output order."""
-
-
-class DiffFeatureSet(_HeadRows):
-    """``w_aux - w_target`` per auxiliary head."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +87,7 @@ class AuxGroup:
 class AuxDraw:
     """Everything of an aux-head set that no target changes: the subsets,
     as row indices into ``x``, each head's init from ``aux_init`` stacked
-    per group, and the label, class and index columns in output order.
+    per group, and the label and class columns in output order.
     Training copies the stacks, so one draw serves every target of
     ``spec``; it trains under ``aux_config(seed)``.
     """
@@ -125,7 +98,6 @@ class AuxDraw:
     groups: tuple
     labels: np.ndarray
     class_ids: np.ndarray
-    aux_ids: np.ndarray
 
 
 def _draw(spec: ModelSpec, seed: int, x: np.ndarray, heads: list,
@@ -136,14 +108,12 @@ def _draw(spec: ModelSpec, seed: int, x: np.ndarray, heads: list,
     n_classes = spec.n_classes
     counters: dict = defaultdict(int)
     members: dict = defaultdict(list)
-    aux_ids = []
     for pos, (class_id, rows) in enumerate(heads):
         if len(rows) == 0:
             raise ValueError(f"class {class_id} subset is empty")
         if not 0 <= class_id < n_classes:
             raise ValueError(f"labels outside [0,{n_classes})")
         members[(class_id, len(rows))].append((pos, counters[class_id], rows))
-        aux_ids.append(counters[class_id])
         counters[class_id] += 1
     layers, boundary = layers_for_spec(spec)
     n_w = layers[boundary].in_dim * layers[boundary].out_dim
@@ -160,7 +130,7 @@ def _draw(spec: ModelSpec, seed: int, x: np.ndarray, heads: list,
     class_ids = np.array([c for c, _ in heads], dtype=np.int64)
     return AuxDraw(spec, seed, x, tuple(groups),
                    np.isin(class_ids, list(forget)).astype(np.int64),
-                   class_ids, np.array(aux_ids, dtype=np.int64))
+                   class_ids)
 
 
 def draw_aux(spec: ModelSpec, dataset: LabeledDataset, task: ForgetTask,
@@ -199,7 +169,7 @@ def train_aux_models(target: ModelArtifact, draw: AuxDraw) -> AuxVectors:
                      block[:, :n_w].reshape(-1, head.in_dim, head.out_dim),
                      block[:, n_w:], g.class_id, cfg)
         vectors[g.positions] = block
-    return AuxVectors(vectors, draw.labels, draw.class_ids, draw.aux_ids)
+    return AuxVectors(vectors, draw.labels, draw.class_ids)
 
 
 def _group_features(target: ModelArtifact, x: np.ndarray,
@@ -244,19 +214,17 @@ def aux_config(seed: int) -> TrainConfig:
                        batch_size=DEFAULT_SUBSET_SIZE, seed=seed)
 
 
-def dot_features(w_target: np.ndarray, aux: AuxVectors) -> DotFeatureSet:
-    """One scalar row per auxiliary head: its dot product with the target.
+def dot_features(w_target: np.ndarray, aux: AuxVectors) -> np.ndarray:
+    """The (heads,) dot products of each auxiliary head with the target.
     The stacked product takes each row on its own, bit-equal to
     ``w_target @ v`` per head; ``vectors @ w_target`` sums in another
     order."""
-    values = np.matmul(aux.vectors[:, None, :], w_target)[:, 0]
-    return DotFeatureSet(values, aux.labels, aux.class_ids, aux.aux_ids)
+    return np.matmul(aux.vectors[:, None, :], w_target)[:, 0]
 
 
-def diff_features(w_target: np.ndarray, aux: AuxVectors) -> DiffFeatureSet:
-    """One vector row per auxiliary head: ``w_aux - w_target``."""
-    return DiffFeatureSet(aux.vectors - w_target, aux.labels, aux.class_ids,
-                          aux.aux_ids)
+def diff_features(w_target: np.ndarray, aux: AuxVectors) -> np.ndarray:
+    """The (heads, head size) matrix of ``w_aux - w_target`` rows."""
+    return aux.vectors - w_target
 
 
 @dataclass(frozen=True)
@@ -478,15 +446,12 @@ def _grow(x: np.ndarray, rows: np.ndarray, y: np.ndarray, depth: int,
                                 max_depth))
 
 
-def tree_fit(features: DiffFeatureSet | np.ndarray, labels=None,
-             max_depth: int = DEFAULT_TREE_DEPTH) -> DecisionTree:
-    """CART with Gini impurity over raw difference vectors."""
-    if isinstance(features, DiffFeatureSet):
-        x, y = features.vectors, features.labels
-    else:
-        x, y = np.asarray(features, dtype=np.float64), np.asarray(labels)
-    if x.ndim == 1:
-        x = x[:, None]
+def tree_fit(features, labels, max_depth=DEFAULT_TREE_DEPTH) -> DecisionTree:
+    """CART with Gini impurity over the rows of a 2-D matrix, 0/1 labels."""
+    x, y = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    if x.ndim != 2 or len(x) != len(y):
+        raise ValueError(f"features must form a 2-D matrix with one row per "
+                         f"label, got shape {x.shape} for {len(y)} labels")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     y = y.astype(np.int64)
@@ -532,58 +497,45 @@ def infer_forgotten(row_labels, class_ids) -> frozenset:
 @dataclass(frozen=True)
 class ParamAttackResult:
     predicted: frozenset
-    features: DotFeatureSet | DiffFeatureSet
     detail: dict
 
 
-def param_dot_attack(target: ModelArtifact, dataset: LabeledDataset,
-                     task: ForgetTask, seed: int, screen: str = "youden",
-                     k: int = DEFAULT_SUBSET_SIZE,
-                     m_models: int = DEFAULT_MODELS_PER_CLASS,
-                     aux: AuxVectors | None = None) -> ParamAttackResult:
-    """Dot-product feature attack, screened by Youden cut or 1-D k-means.
+def param_dot_attack(target: ModelArtifact, aux: AuxVectors,
+                     screen: str = "youden") -> ParamAttackResult:
+    """Dot-product feature attack on ``target`` with its trained aux heads,
+    screened by Youden cut or 1-D k-means.
 
     The Youden route fits its cut on oracle-labeled rows (the evaluation
     protocol for separability); the k-means route never reads labels.
-    Pass ``aux`` to reuse heads already trained for this target.
     """
     if screen not in ("youden", "kmeans"):
         raise ValueError(f"unknown screen {screen!r}")
-    if aux is None:
-        aux = train_aux_models(target, draw_aux(target.spec, dataset, task,
-                                                seed, k, m_models))
-    feats = dot_features(head_vector(target), aux)
+    values = dot_features(head_vector(target), aux)
     if screen == "youden":
-        cut = youden_threshold(feats.values, feats.labels)
-        row_pred = cut.predict(feats.values)
+        cut = youden_threshold(values, aux.labels)
+        row_pred = cut.predict(values)
         detail = {"screen": "youden", "threshold": cut.threshold,
                   "orientation": cut.orientation, "j_stat": cut.j_stat,
                   "degenerate": cut.degenerate}
     else:
-        km = kmeans_1d(feats.values)
+        km = kmeans_1d(values)
         row_pred = km.labels
         detail = {"screen": "kmeans", "boundary": km.boundary,
                   "centroids": km.centroids}
-    predicted = infer_forgotten(row_pred, feats.class_ids)
-    return ParamAttackResult(predicted, feats, detail)
+    return ParamAttackResult(infer_forgotten(row_pred, aux.class_ids), detail)
 
 
-def param_diff_attack(target: ModelArtifact, dataset: LabeledDataset,
-                      task: ForgetTask, seed: int,
-                      max_depth: int = DEFAULT_TREE_DEPTH,
-                      k: int = DEFAULT_SUBSET_SIZE,
-                      m_models: int = DEFAULT_MODELS_PER_CLASS,
-                      aux: AuxVectors | None = None) -> ParamAttackResult:
-    """Difference-vector attack classified by a depth-capped CART tree."""
-    if aux is None:
-        aux = train_aux_models(target, draw_aux(target.spec, dataset, task,
-                                                seed, k, m_models))
-    feats = diff_features(head_vector(target), aux)
-    del aux  # only the features are read from here on; free the heads
-    tree = tree_fit(feats, max_depth=max_depth)
-    row_pred = tree_predict(tree, feats.vectors)
-    train_acc = float((row_pred == feats.labels).mean())
-    predicted = infer_forgotten(row_pred, feats.class_ids)
-    return ParamAttackResult(predicted, feats,
+def param_diff_attack(target: ModelArtifact, aux: AuxVectors,
+                      max_depth: int = DEFAULT_TREE_DEPTH
+                      ) -> ParamAttackResult:
+    """Difference-vector attack on ``target`` with its trained aux heads,
+    classified by a depth-capped CART tree."""
+    labels, class_ids = aux.labels, aux.class_ids
+    diffs = diff_features(head_vector(target), aux)
+    del aux  # only the differences are read from here on; free the heads
+    tree = tree_fit(diffs, labels, max_depth)
+    row_pred = tree_predict(tree, diffs)
+    train_acc = float((row_pred == labels).mean())
+    return ParamAttackResult(infer_forgotten(row_pred, class_ids),
                              {"screen": "tree", "max_depth": max_depth,
                               "train_accuracy": train_acc})

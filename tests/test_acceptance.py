@@ -185,14 +185,11 @@ def test_c05_parameter_attacks(bundles):
             aux = pa.train_aux_models(target, draw)
             truth = bundle.forget
             tree_asr.append(_asr(pa.param_diff_attack(
-                target, bundle.dataset, bundle.task, seed,
-                aux=aux).predicted, truth))
+                target, aux).predicted, truth))
             youden_asr.append(_asr(pa.param_dot_attack(
-                target, bundle.dataset, bundle.task, seed,
-                screen="youden", aux=aux).predicted, truth))
+                target, aux, screen="youden").predicted, truth))
             kmeans_asr.append(_asr(pa.param_dot_attack(
-                target, bundle.dataset, bundle.task, seed,
-                screen="kmeans", aux=aux).predicted, truth))
+                target, aux, screen="kmeans").predicted, truth))
     means = [float(np.mean(v)) for v in (tree_asr, youden_asr, kmeans_asr)]
     dt = time.perf_counter() - t0
     ok = means[0] >= 85.0 and means[1] >= 75.0 and means[2] >= 75.0 \
@@ -289,8 +286,9 @@ def test_c09_forgetting_scale_sweep(bundles):
             bundle = bundles(seed, forget)
             target = bundle.unlearned("rt").artifact
             tree_vals.append(_asr(pa.param_diff_attack(
-                target, bundle.dataset, bundle.task,
-                seed).predicted, forget))
+                target, pa.train_aux_models(target, pa.draw_aux(
+                    bundle.spec, bundle.dataset, bundle.task, seed))
+            ).predicted, forget))
             ipvs = _wb_ipvs(bundle, "rt")
             wb_vals.append(_asr(scr.threshold_criterion(ipvs).predicted,
                                 forget))

@@ -126,14 +126,6 @@ def test_maxpool_drops_odd_edges():
                           .transpose(0, 1, 3, 2, 4, 5).reshape(1, 2, 2, 4, 2).max(axis=3))
 
 
-def test_conv_same_padding_preserves_spatial_shape():
-    rng = np.random.default_rng(17)
-    layers = [ad.Conv2D(3, 3, 2, 4, padding="same")]
-    params = [{"K": rng.normal(size=(3, 3, 2, 4)), "b": np.zeros(4)}]
-    out = ad.forward(layers, params, rng.normal(size=(2, 8, 8, 2)))
-    assert out.data.shape == (2, 8, 8, 4)
-
-
 def test_conv_matches_direct_sum_on_tiny_input():
     rng = np.random.default_rng(18)
     x = rng.normal(size=(1, 3, 3, 1))

@@ -69,6 +69,23 @@ def test_unlearn_ft_needs_base_model(walk, tmp_path, capsys):
     assert "needs --model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["rt", "au"])
+def test_unlearn_rt_and_au_reject_a_base_model(walk, tmp_path, capsys,
+                                               monkeypatch, method):
+    # both train their own original, so a --model would be silently unread
+    bad = tmp_path / "cut.ulkm"
+    bad.write_bytes(open(walk["clean"], "rb").read()[:100])
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda *a, **k: pytest.fail("dataset read"))
+    code = cli.main(["unlearn", "--method", method, "--data", walk["data"],
+                     "--forget", "2", "--model", str(bad),
+                     "--out", str(tmp_path / "x.ulkm")])
+    assert code == 1
+    assert f"method '{method}' trains its own original; drop --model" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x.ulkm").exists()
+
+
 def test_attack_param_diff_verdict(walk, tmp_path, capsys):
     out = str(tmp_path / "diff.json")
     code = cli.main(["attack", "param-diff", "--model", walk["rt"],
@@ -174,6 +191,21 @@ def test_train_on_corrupt_dataset_fails_cleanly(walk, tmp_path, capsys):
     assert cli.main(["train", "--data", str(bad), "--out",
                      str(tmp_path / "m.ulkm")]) == 1
     assert "not a readable dataset archive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: raw[:len(raw) // 2], "payload truncated"),
+    (lambda raw: raw.replace(b'"kind"', b'"kinc"', 1), "bad descriptor"),
+], ids=["truncated", "flipped-key"])
+def test_attack_on_corrupt_checkpoint_fails_cleanly(walk, tmp_path, capsys,
+                                                    corrupt, message):
+    bad = tmp_path / "bad.ulkm"
+    bad.write_bytes(corrupt(open(walk["rt"], "rb").read()))
+    assert cli.main(["attack", "invert-wb", "--model", str(bad),
+                     "--out", str(tmp_path / "ipv.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "ipv.csv").exists()
 
 
 def test_train_on_non_finite_dataset_fails_before_training(walk, tmp_path, capsys,

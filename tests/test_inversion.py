@@ -264,7 +264,7 @@ def test_wb_descent_respects_box():
 def test_wb_zero_iterations_scores_the_start():
     model = tiny_model(seed=5)
     cfg = inv.InversionConfigWB(k_inits=3, iterations=0, seed=9)
-    ipv = inv.invert_whitebox(model, 0, cfg)
+    ipv = inv.invert_whitebox(model, [0], cfg)[0]
     assert ipv.queries == 0
     assert ipv.fitness == pytest.approx(ipv.probs[0])
 
@@ -274,20 +274,20 @@ def test_wb_all_inits_diverged():
     model = tiny_model(seed=1)
     cfg = inv.InversionConfigWB(k_inits=2, iterations=3, lr=1e200, box=None)
     with pytest.raises(inv.AllInitsDiverged):
-        inv.invert_whitebox(model, 0, cfg)
+        inv.invert_whitebox(model, [0], cfg)
 
 
 def test_wb_rejects_out_of_range_target():
     model = tiny_model()
     with pytest.raises(ValueError):
-        inv.invert_whitebox(model, 3, inv.InversionConfigWB(iterations=1))
+        inv.invert_whitebox(model, [3], inv.InversionConfigWB(iterations=1))
 
 
 def test_wb_is_deterministic():
     model = tiny_model(seed=2)
     cfg = inv.InversionConfigWB(k_inits=2, iterations=30, seed=17)
-    a = inv.invert_whitebox(model, 1, cfg)
-    b = inv.invert_whitebox(model, 1, cfg)
+    a = inv.invert_whitebox(model, [1], cfg)[0]
+    b = inv.invert_whitebox(model, [1], cfg)[0]
     assert a.probs.tobytes() == b.probs.tobytes()
     assert a.fitness == b.fitness
 
@@ -296,7 +296,7 @@ def test_wb_finds_confident_inputs_on_clean_benchmark_model(bundles):
     model = bundles(0).clean
     cfg = inv.default_wb_config(model, seed=0)
     for t in (0, 3, 7):
-        ipv = inv.invert_whitebox(model, t, cfg)
+        ipv = inv.invert_whitebox(model, [t], cfg)[0]
         assert int(np.argmax(ipv.probs)) == t
         assert ipv.max_prob >= 0.95
 
@@ -440,7 +440,7 @@ def _wb_reference(model, t, cfg):
 
 
 def _wb_lone(model, t, cfg):
-    ipv = inv.invert_whitebox(model, t, cfg)
+    ipv = inv.invert_whitebox(model, [t], cfg)[0]
     return ipv.probs.tobytes(), ipv.fitness
 
 
@@ -583,7 +583,7 @@ def test_build_ipv_set_orders_by_class(bundles):
     ipvs = inv.build_ipv_set("wb", model, cfg)
     assert [v.target for v in ipvs] == list(range(10))
     # per-class substreams: a lone inversion reproduces the set element
-    lone = inv.invert_whitebox(model, 4, cfg)
+    lone = inv.invert_whitebox(model, [4], cfg)[0]
     assert lone.probs.tobytes() == ipvs[4].probs.tobytes()
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -178,10 +180,31 @@ def test_checkpoint_version_1_still_loads(tmp_path):
 def test_checkpoint_errors_are_distinct_classes():
     kinds = {models.CheckpointMagicError, models.CheckpointVersionError,
              models.CheckpointTruncatedError, models.CheckpointArrayError,
-             models.CheckpointDigestError}
-    assert len(kinds) == 5
+             models.CheckpointDescriptorError, models.CheckpointDigestError}
+    assert len(kinds) == 6
     for k in kinds:
         assert issubclass(k, models.CheckpointError)
+    assert issubclass(models.CheckpointError, ValueError)
+
+
+def test_every_header_and_descriptor_bit_flip_raises_checkpoint_error(tmp_path):
+    # a one-bit flip in a field name ("kind", "dims", "layer", "nbytes") or
+    # value must fail typed, not as a bare KeyError or ValueError
+    path = str(tmp_path / "m.ulkm")
+    models.save_checkpoint(models.build(models.mlp_spec(32, 10, hidden=64), 0),
+                           path)
+    raw = open(path, "rb").read()
+    (desc_len,) = struct.unpack_from("<I", raw, 6)
+    seen = set()
+    for bit in range(8 * (10 + desc_len)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        open(path, "wb").write(bytes(flipped))
+        with pytest.raises(models.CheckpointError) as info:
+            models.load_checkpoint(path)
+        seen.add(type(info.value))
+    assert models.CheckpointDescriptorError in seen
+    assert models.CheckpointTruncatedError in seen
 
 
 def test_accuracy_on_empty_set_raises():

@@ -14,47 +14,42 @@ import brute
 
 
 def _mk_aux(vectors, class_ids, forget=()):
-    aux_ids = [list(class_ids[:i]).count(c) for i, c in enumerate(class_ids)]
     return pa.AuxVectors(np.asarray(vectors, dtype=np.float64),
                          np.isin(class_ids, list(forget)).astype(np.int64),
-                         np.asarray(class_ids), np.asarray(aux_ids))
+                         np.asarray(class_ids))
 
 
 def test_dot_features_self_and_orthogonal():
     w = np.array([3.0, 4.0])
     aux = _mk_aux([[3.0, 4.0], [-4.0, 3.0]], [0, 1])
-    feats = pa.dot_features(w, aux)
-    assert feats.values[0] == pytest.approx(25.0)
-    assert feats.values[1] == pytest.approx(0.0)
-    assert list(feats.labels) == [0, 0]
+    values = pa.dot_features(w, aux)
+    assert values.shape == (2,)
+    assert values[0] == pytest.approx(25.0)
+    assert values[1] == pytest.approx(0.0)
 
 
-@pytest.mark.parametrize("kind", ["dot", "diff", "aux"])
-def test_feature_sets_reject_misaligned_columns_and_bad_labels(kind):
-    rows = np.zeros(3) if kind == "dot" else np.zeros((3, 2))
-    make = {"dot": pa.DotFeatureSet, "diff": pa.DiffFeatureSet,
-            "aux": pa.AuxVectors}[kind]
+def test_aux_vectors_reject_misaligned_columns_and_bad_labels():
+    rows = np.zeros((3, 2))
     ids = np.arange(3)
-    assert len(make(rows, np.array([0, 1, 0]), ids, ids)) == 3
+    assert len(pa.AuxVectors(rows, np.array([0, 1, 0]), ids)) == 3
     with pytest.raises(ValueError, match="share one length"):
-        make(rows, np.array([0, 1]), ids, ids)
+        pa.AuxVectors(rows, np.array([0, 1]), ids)
     with pytest.raises(ValueError, match="share one length"):
-        make(rows, np.array([0, 1, 0]), ids, ids[:2])
+        pa.AuxVectors(rows, np.array([0, 1, 0]), ids[:2])
     with pytest.raises(ValueError, match="0 \\(rest\\) or 1"):
-        make(rows, np.array([0, 2, 0]), ids, ids)
-    if kind != "dot":
-        with pytest.raises(ValueError, match="2-D"):
-            make(np.zeros(3), np.array([0, 1, 0]), ids, ids)
+        pa.AuxVectors(rows, np.array([0, 2, 0]), ids)
+    with pytest.raises(ValueError, match="2-D"):
+        pa.AuxVectors(np.zeros(3), np.array([0, 1, 0]), ids)
 
 
 def test_diff_features_rows_and_labels():
     w = np.array([1.0, 1.0, 1.0])
     aux = _mk_aux([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], [0, 3], forget={3})
-    feats = pa.diff_features(w, aux)
-    assert feats.vectors.shape == (2, 3)
-    assert np.allclose(feats.vectors[0], [0.0, 1.0, 2.0])
-    assert np.allclose(feats.vectors[1], [-1.0, -1.0, -1.0])
-    assert list(feats.labels) == [0, 1]
+    diffs = pa.diff_features(w, aux)
+    assert diffs.shape == (2, 3)
+    assert np.allclose(diffs[0], [0.0, 1.0, 2.0])
+    assert np.allclose(diffs[1], [-1.0, -1.0, -1.0])
+    assert list(aux.labels) == [0, 1]
 
 
 def test_youden_hand_case_perfect_separation():
@@ -303,6 +298,10 @@ def test_tree_predict_shape_checks():
         pa.tree_predict(tree, np.array([0.2]))
     with pytest.raises(ValueError, match="labels"):
         pa.tree_fit(np.array([[0.0], [1.0]]), np.array([0, 2]))
+    with pytest.raises(ValueError, match="2-D"):
+        pa.tree_fit(np.array([0.0, 1.0]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="one row per label"):
+        pa.tree_fit(np.array([[0.0], [1.0]]), np.array([0, 1, 1]))
 
 
 def test_infer_forgotten_majority_and_tie():
@@ -405,8 +404,8 @@ def test_train_aux_models_matches_per_head_training(bundles, k):
     for i, (class_id, idx, want) in enumerate(
             _per_head_reference(target, bundle.dataset.x, heads, 3)):
         assert got.vectors[i].tobytes() == want.tobytes()
-        assert (got.class_ids[i], got.aux_ids[i], got.labels[i]) == \
-            (class_id, idx, int(class_id in forget))
+        assert (got.class_ids[i], got.labels[i]) == \
+            (class_id, int(class_id in forget))
 
 
 def test_train_aux_models_on_a_cnn_matches_per_head_training():
@@ -445,7 +444,7 @@ def test_dot_features_equal_per_head_products_bit_for_bit(bundles):
     aux = _default_heads(bundle, 0)
     w = head_vector(bundle.unlearned("rt").artifact)
     want = np.array([float(w @ v) for v in aux.vectors])
-    assert pa.dot_features(w, aux).values.tobytes() == want.tobytes()
+    assert pa.dot_features(w, aux).tobytes() == want.tobytes()
 
 
 def test_shared_draw_matches_fresh_draws_for_every_target(bundles):
@@ -460,7 +459,7 @@ def test_shared_draw_matches_fresh_draws_for_every_target(bundles):
         want = pa.train_aux_models(target, _rows_draw(bundle, 20, 4, 3))
         assert len(got) == len(want) == 40
         assert got.vectors.tobytes() == want.vectors.tobytes()
-        for col in ("labels", "class_ids", "aux_ids"):
+        for col in ("labels", "class_ids"):
             assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
         assert all(g.init.tobytes() == init.tobytes()
                    for g, init in zip(draw.groups, inits))
@@ -475,9 +474,9 @@ def test_dot_separation_on_benchmark(bundles):
         bundle = bundles(seed)
         target = bundle.unlearned("rt").artifact
         aux = pa.train_aux_models(target, _rows_draw(bundle, 20, 6, seed))
-        feats = pa.dot_features(head_vector(target), aux)
-        unlearn_mean = feats.values[feats.labels == 1].mean()
-        rest_mean = feats.values[feats.labels == 0].mean()
+        values = pa.dot_features(head_vector(target), aux)
+        unlearn_mean = values[aux.labels == 1].mean()
+        rest_mean = values[aux.labels == 0].mean()
         assert unlearn_mean < rest_mean, f"seed {seed}"
 
 
@@ -487,15 +486,11 @@ def test_param_attacks_end_to_end(bundles):
     bundle = bundles(0)
     target = bundle.unlearned("rt").artifact
     aux = pa.train_aux_models(target, _rows_draw(bundle, 20, 30, 0))
-    youden = pa.param_dot_attack(target, bundle.dataset, bundle.task, 0,
-                                 screen="youden", aux=aux)
-    kmeans = pa.param_dot_attack(target, bundle.dataset, bundle.task, 0,
-                                 screen="kmeans", aux=aux)
-    tree = pa.param_diff_attack(target, bundle.dataset, bundle.task, 0,
-                                aux=aux)
+    youden = pa.param_dot_attack(target, aux, screen="youden")
+    kmeans = pa.param_dot_attack(target, aux, screen="kmeans")
+    tree = pa.param_diff_attack(target, aux)
     assert youden.predicted == bundle.task.forget_classes
     assert kmeans.predicted == bundle.task.forget_classes
     assert tree.predicted == bundle.task.forget_classes
     with pytest.raises(ValueError, match="unknown screen"):
-        pa.param_dot_attack(target, bundle.dataset, bundle.task, 0,
-                            screen="median")
+        pa.param_dot_attack(target, aux, screen="median")
