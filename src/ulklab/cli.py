@@ -56,6 +56,8 @@ def cmd_data_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 1:
+        raise ValueError(f"--epochs must be >= 1, got {args.epochs}")
     dataset = load_dataset(args.data)
     if len(dataset.x.shape) != 2:
         raise ValueError("train expects flat feature vectors")
@@ -75,20 +77,25 @@ def cmd_unlearn(args) -> int:
     if args.method in ("rt", "au") and args.model:
         raise ValueError(f"method {args.method!r} trains its own original; "
                          f"drop --model")
+    if args.method not in ("rt", "au") and args.hidden is not None:
+        raise ValueError(f"method {args.method!r} keeps the layers of --model; "
+                         f"drop --hidden")
+    if args.method in ("ft", "ng") and args.epochs is not None:
+        raise ValueError(f"method {args.method!r} runs a fixed epoch count; "
+                         f"drop --epochs")
     dataset = load_dataset(args.data)
     forget = frozenset(parse_ids(args.forget, "--forget"))
     task = ForgetTask(forget, dataset_id=dataset.split)
-    cfg = TrainConfig(epochs=args.epochs, lr=args.lr,
-                      batch_size=args.batch_size, seed=args.seed)
-    if args.method == "rt":
+    cfg = TrainConfig(epochs=20 if args.epochs is None else args.epochs,
+                      lr=args.lr, batch_size=args.batch_size, seed=args.seed)
+    if args.method in ("rt", "au"):
         spec = mlp_spec(dataset.x.shape[1], dataset.n_classes,
-                        hidden=args.hidden)
+                        hidden=64 if args.hidden is None else args.hidden)
+    if args.method == "rt":
         um = run_method("rt", spec, None, dataset, task, cfg)
     elif args.method == "au":
         # the ledgered original is retrained here so its update ledger
         # exists to subtract from
-        spec = mlp_spec(dataset.x.shape[1], dataset.n_classes,
-                        hidden=args.hidden)
         ledgered = train_with_ledger(spec, dataset, task, cfg)
         um = run_method("au", spec, ledgered.model, dataset, task, cfg,
                         ledger=ledgered.ledger)
@@ -247,10 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-joined class ids to forget")
     un.add_argument("--model", help="trained original (ft/rl/ng)")
     un.add_argument("--seed", type=int, default=0)
-    un.add_argument("--epochs", type=int, default=20)
+    un.add_argument("--epochs", type=int,
+                    help="default 20; rt/rl/au only (ft and ng fix their own)")
     un.add_argument("--lr", type=float, default=0.1)
     un.add_argument("--batch-size", type=int, default=32)
-    un.add_argument("--hidden", type=int, default=64)
+    un.add_argument("--hidden", type=int,
+                    help="default 64; rt/au only (others keep --model's layers)")
     un.set_defaults(func=cmd_unlearn)
 
     atk = sub.add_parser("attack", help="attack one model checkpoint")

@@ -66,9 +66,10 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def take(self, indices, split: str, filtered: bool = True) -> "LabeledDataset":
+    def take(self, indices, split: str) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.x[idx], self.y[idx], self.n_classes, split, filtered)
+        return LabeledDataset(self.x[idx], self.y[idx], self.n_classes, split,
+                              filtered=True)
 
     def class_indices(self, class_id: int) -> np.ndarray:
         return np.flatnonzero(self.y == class_id)

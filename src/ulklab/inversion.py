@@ -188,8 +188,9 @@ def _ipv(target: int, probs: np.ndarray, fitness: float, queries: int,
 class QueryOracle:
     """Input -> softmax vector handle, counting every row it answers.
 
-    Wraps a model artifact (the usual case) or any callable of one input;
-    black-box code touches nothing but ``__call__`` and the counter.
+    Wraps a model artifact (the usual case) or any callable of one input,
+    which needs ``input_shape`` and ``n_classes``; black-box code touches
+    nothing but ``__call__``, the counter and those two.
     ``oracle(x)`` answers one input and counts one query. ``oracle(xs,
     rows=True)`` answers a batch with one vector per row and counts one
     query per row. A model answers a batch in autodiff's rows mode, so
@@ -203,6 +204,8 @@ class QueryOracle:
             self._answer = target.predict_proba
             self.input_shape = target.spec.input_shape
             self.n_classes = target.spec.n_classes
+        elif input_shape is None or n_classes is None:
+            raise ValueError("a callable oracle needs input_shape and n_classes")
         else:
             def answer(x, rows):
                 return [np.asarray(target(r), dtype=np.float64) for r in x] \
@@ -477,16 +480,14 @@ def ziggurat_tables():
 
 def invert_blackbox(oracle: QueryOracle, target: int,
                     cfg: GAConfig | None = None,
-                    input_shape: tuple | None = None,
                     history: list | None = None
                     ) -> InvertedPredictionVector:
     """Genetic search for the input maximizing P(target|x).
 
-    Chromosomes live in [0,1]^d (d from the oracle's input shape unless
-    overridden). One query per fitness evaluation, plus one final query
-    reading the best individual's full output vector. The initial
-    population and each generation's children are scored in one oracle
-    call each. A query budget reserves that final query and truncates the
+    Chromosomes live in [0,1]^d (d from the oracle's input shape). One
+    query per fitness evaluation, plus one final query reading the best
+    individual's full output vector. The initial population and each
+    generation's children are scored in one oracle call each. A query budget reserves that final query and truncates the
     search when spent: only the prefix of a batch the budget still covers
     is scored, so the per-class total never exceeds the budget.
 
@@ -497,9 +498,7 @@ def invert_blackbox(oracle: QueryOracle, target: int,
     generation that loses the best fitness, raises InversionError.
     """
     cfg = cfg or GAConfig()
-    shape = input_shape if input_shape is not None else oracle.input_shape
-    if shape is None:
-        raise ValueError("oracle carries no input shape; pass input_shape")
+    shape = oracle.input_shape
     dim = int(np.prod(shape))
     if dim < 2:
         raise ValueError("chromosomes need at least 2 dimensions")
@@ -556,9 +555,7 @@ def invert_blackbox(oracle: QueryOracle, target: int,
     return _ipv(target, probs, best_fit, used, truncated)
 
 
-def build_ipv_set(attack: str, target, cfg=None,
-                  input_shape: tuple | None = None,
-                  n_classes: int | None = None) -> list:
+def build_ipv_set(attack: str, target, cfg=None) -> list:
     """One inversion per class, ordered by class index.
 
     ``attack`` is "wb" (target: model) or "bb" (target: model or
@@ -570,11 +567,7 @@ def build_ipv_set(attack: str, target, cfg=None,
         return invert_whitebox(target, range(target.spec.n_classes), cfg)
     if attack == "bb":
         oracle = target if isinstance(target, QueryOracle) else QueryOracle(target)
-        n = n_classes if n_classes is not None else oracle.n_classes
-        if n is None:
-            raise ValueError("oracle carries no class count; pass n_classes")
-        return [invert_blackbox(oracle, t, cfg, input_shape=input_shape)
-                for t in range(n)]
+        return [invert_blackbox(oracle, t, cfg) for t in range(oracle.n_classes)]
     raise ValueError(f"unknown attack {attack!r}, expected 'wb' or 'bb'")
 
 

@@ -231,32 +231,21 @@ def build(spec: ModelSpec, seed: int) -> ModelArtifact:
                          provenance={"role": "original", "seed": seed})
 
 
-def aux_init(spec: ModelSpec, seed: int, class_id: int | None = None,
-             index: int = 0) -> tuple:
-    """Fresh parameters and provenance for one auxiliary clone.
-
-    The parameters come from the clone's own ``STREAM_AUX`` stream;
-    ``class_id``/``index`` separate the streams of sibling clones so a batch
-    of auxiliary models starts from distinct heads. Returns
-    ``(params, provenance)``; only the head layers of ``params`` are used.
-    """
-    key = (rngmod.STREAM_AUX,) if class_id is None \
-        else (rngmod.STREAM_AUX, class_id, index)
-    prov = {"role": "auxiliary", "seed": seed}
-    if class_id is not None:
-        prov["class_id"] = class_id
-        prov["index"] = index
-    return init_params(spec, rngmod.stream(seed, *key)), prov
+def aux_init(spec: ModelSpec, seed: int, class_id: int, index: int) -> list:
+    """Fresh parameters for one auxiliary clone, from its own
+    ``(STREAM_AUX, class_id, index)`` stream, so sibling clones start from
+    distinct heads; only the head layers are used."""
+    return init_params(spec, rngmod.stream(seed, rngmod.STREAM_AUX, class_id, index))
 
 
-def clone_frozen_head_template(target: ModelArtifact, seed: int,
-                               class_id: int | None = None,
-                               index: int = 0) -> ModelArtifact:
+def clone_frozen_head_template(target: ModelArtifact, seed: int, class_id: int,
+                               index: int) -> ModelArtifact:
     """Copy the feature extractor, re-initialize the head, freeze the rest.
 
     The head init is ``aux_init(target.spec, seed, class_id, index)``.
     """
-    fresh, prov = aux_init(target.spec, seed, class_id, index)
+    fresh = aux_init(target.spec, seed, class_id, index)
+    prov = {"role": "auxiliary", "seed": seed, "class_id": class_id, "index": index}
     params = copy_params(target.params)
     for i in range(target.feature_boundary, len(params)):
         params[i] = fresh[i]

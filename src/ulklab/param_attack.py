@@ -122,7 +122,7 @@ def _draw(spec: ModelSpec, seed: int, x: np.ndarray, heads: list,
         positions, idxs, rows = zip(*group)
         init = np.empty((len(group), n_w + layers[boundary].out_dim))
         for j, idx in enumerate(idxs):
-            params, _ = aux_init(spec, seed, class_id, idx)
+            params = aux_init(spec, seed, class_id, idx)
             init[j, :n_w] = params[boundary]["W"].ravel()
             init[j, n_w:] = params[boundary]["b"]
         groups.append(AuxGroup(class_id, np.stack(rows), np.array(positions),

@@ -42,10 +42,7 @@ def _check_ids(ids, n_classes: int, what: str) -> frozenset:
 
 def attack_success_rate(predicted, truth, n_classes: int) -> float:
     """Percent of classes whose forgotten/retained verdict is correct."""
-    predicted = _check_ids(predicted, n_classes, "predicted")
-    truth = _check_ids(truth, n_classes, "truth")
-    hits = sum((i in predicted) == (i in truth) for i in range(n_classes))
-    return 100.0 * hits / n_classes
+    return 100.0 * per_class_flags(predicted, truth, n_classes).count("1") / n_classes
 
 
 def per_class_flags(predicted, truth, n_classes: int) -> str:

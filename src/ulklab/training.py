@@ -33,7 +33,7 @@ layers run inside the loop. Frozen parameters are never written.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,10 +80,6 @@ class TrainConfig:
             raise ValueError(
                 f"intro_rest_scale must be positive, got {self.intro_rest_scale}")
 
-    def scaled(self, lr_multiplier: float, epochs: int | None = None) -> "TrainConfig":
-        return replace(self, lr=self.lr * lr_multiplier,
-                       epochs=self.epochs if epochs is None else epochs)
-
 
 def params_hash(params) -> str:
     h = hashlib.sha256()
@@ -108,7 +104,6 @@ class UpdateLedger:
     (``total``) and of the flagged batches (``flagged``); an empty dict
     marks a frozen layer, and a run of no batches has empty sums."""
     entries: list
-    init_params: list
     final_hash: str
     total: list
     flagged: list
@@ -143,10 +138,9 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
         raise ValueError("cannot train on an empty dataset")
     prov = provenance or dict(model.provenance)
     iso = frozenset(int(c) for c in (isolate_classes or ()))
-    init_snapshot = copy_params(model.params) if record_ledger else None
     if cfg.epochs == 0:
         out = model.with_params(copy_params(model.params), prov)
-        ledger = UpdateLedger([], init_snapshot, params_hash(out.params), [], []) \
+        ledger = UpdateLedger([], params_hash(out.params), [], []) \
             if record_ledger else None
         return TrainResult(out, audit=[], epoch_losses=[], ledger=ledger)
 
@@ -215,7 +209,7 @@ def train(model: ModelArtifact, dataset: LabeledDataset, cfg: TrainConfig,
 
     final_params = copy_params(model.params[:tf]) + live_params
     out = model.with_params(final_params, prov)
-    ledger = UpdateLedger(entries, init_snapshot, params_hash(final_params),
+    ledger = UpdateLedger(entries, params_hash(final_params),
                           total, flagged_sum) if record_ledger else None
     return TrainResult(out, audit=audit, epoch_losses=epoch_losses, ledger=ledger)
 

@@ -16,7 +16,7 @@ forget-class accuracy should collapse while retained accuracy holds:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,13 +101,13 @@ def retrain(spec: ModelSpec, d_rest: LabeledDataset, cfg: TrainConfig,
 
 
 def fine_tune(model: ModelArtifact, d_rest: LabeledDataset, cfg: TrainConfig,
-              task: ForgetTask, lr_multiplier: float = FT_LR_MULTIPLIER
-              ) -> UnlearnedModel:
-    """Continue training on the retained split at lr * lr_multiplier."""
+              task: ForgetTask) -> UnlearnedModel:
+    """Continue training on the retained split at lr * FT_LR_MULTIPLIER."""
     _check_rest_split(d_rest, task)
-    chash = unlearn_config_hash("ft", task, cfg, lr_multiplier=lr_multiplier)
+    chash = unlearn_config_hash("ft", task, cfg, lr_multiplier=FT_LR_MULTIPLIER)
     prov = {"role": "unlearned", "method": "ft", "seed": cfg.seed}
-    result = train(model, d_rest, cfg.scaled(lr_multiplier), provenance=prov)
+    result = train(model, d_rest, replace(cfg, lr=cfg.lr * FT_LR_MULTIPLIER),
+                   provenance=prov)
     return UnlearnedModel(result.model, "ft", chash, audit=result.audit,
                           trace={"epoch_losses": result.epoch_losses})
 
@@ -182,22 +182,19 @@ def rollback_all(model: ModelArtifact, ledger: UpdateLedger) -> list:
 
 
 def negative_gradient(model: ModelArtifact, d_unlearn: LabeledDataset,
-                      cfg: TrainConfig, task: ForgetTask,
-                      stop_acc: float = NG_STOP_ACC,
-                      lr_multiplier: float = NG_LR_MULTIPLIER,
-                      max_epochs: int = NG_MAX_EPOCHS) -> UnlearnedModel:
+                      cfg: TrainConfig, task: ForgetTask) -> UnlearnedModel:
     """Gradient ascent on the forget split with an accuracy early stop."""
     if len(d_unlearn) == 0:
         raise ValueError("forget split is empty")
     ad.check_labels(d_unlearn.y, model.spec.n_classes)
-    lr = cfg.lr * lr_multiplier
+    lr = cfg.lr * NG_LR_MULTIPLIER
     gen = rngmod.stream(cfg.seed, rngmod.STREAM_UNLEARN, 1)
     params = copy_params(model.params)
     n = len(d_unlearn)
     losses, epochs_run = [], 0
     prov = {"role": "unlearned", "method": "ng", "seed": cfg.seed}
     stopped = False
-    for _ in range(max_epochs):
+    for _ in range(NG_MAX_EPOCHS):
         order = gen.permutation(n)
         for i in range(0, n, cfg.batch_size):
             idx = order[i:i + cfg.batch_size]
@@ -208,7 +205,7 @@ def negative_gradient(model: ModelArtifact, d_unlearn: LabeledDataset,
             losses.append(loss)
             # per-batch stop: one ascent batch too many can wreck the model
             probe = model.with_params(params, prov)
-            if probe.accuracy(d_unlearn.x, d_unlearn.y) < stop_acc:
+            if probe.accuracy(d_unlearn.x, d_unlearn.y) < NG_STOP_ACC:
                 stopped = True
                 break
         epochs_run += 1
@@ -216,8 +213,8 @@ def negative_gradient(model: ModelArtifact, d_unlearn: LabeledDataset,
             break
     return UnlearnedModel(model.with_params(params, prov), "ng",
                           unlearn_config_hash("ng", task, cfg,
-                                              stop_acc=stop_acc,
-                                              lr_multiplier=lr_multiplier),
+                                              stop_acc=NG_STOP_ACC,
+                                              lr_multiplier=NG_LR_MULTIPLIER),
                           trace={"batch_losses": losses, "epochs_run": epochs_run})
 
 
@@ -235,7 +232,7 @@ def run_method(method: str, spec: ModelSpec, base_model: ModelArtifact | None,
     if base_model is None:
         raise ValueError(f"method {method!r} needs the trained original model")
     if method == "ft":
-        return fine_tune(base_model, d_rest, cfg.scaled(1.0, FT_EPOCHS), task)
+        return fine_tune(base_model, d_rest, replace(cfg, epochs=FT_EPOCHS), task)
     if method == "rl":
         return random_label(base_model, d_rest, d_unlearn, cfg, task)
     if method == "au":

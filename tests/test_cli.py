@@ -6,8 +6,10 @@ import pytest
 
 from ulklab import cli
 from ulklab import reports as rep
-from ulklab.data import load_dataset
+from ulklab.data import ForgetTask, load_dataset
 from ulklab.models import load_checkpoint
+from ulklab.training import TrainConfig, params_hash
+from ulklab.unlearning import run_method
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,55 @@ def test_unlearn_rt_and_au_reject_a_base_model(walk, tmp_path, capsys,
     assert f"method '{method}' trains its own original; drop --model" in \
         capsys.readouterr().err
     assert not (tmp_path / "x.ulkm").exists()
+
+
+@pytest.mark.parametrize("method, flag, message", [
+    ("ft", "--hidden", "keeps the layers of --model"),
+    ("rl", "--hidden", "keeps the layers of --model"),
+    ("ng", "--hidden", "keeps the layers of --model"),
+    ("ft", "--epochs", "runs a fixed epoch count"),
+    ("ng", "--epochs", "runs a fixed epoch count"),
+])
+def test_unlearn_rejects_a_flag_its_method_does_not_read(walk, tmp_path, capsys,
+                                                         monkeypatch, method,
+                                                         flag, message):
+    # the checkpoint fixes the layers, and ft/ng their own epoch count, so
+    # the flag would be silently unread
+    for name in ("load_dataset", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("file read"))
+    code = cli.main(["unlearn", "--method", method, "--data", walk["data"],
+                     "--forget", "2", "--model", walk["clean"], flag, "7",
+                     "--out", str(tmp_path / "x.ulkm")])
+    assert code == 1
+    assert f"error: method '{method}' {message}; drop {flag}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x.ulkm").exists()
+
+
+def test_unlearn_defaults_match_the_library(walk, tmp_path, capsys):
+    # ng reads the config's epochs only into its hash, so the CLI's default
+    # must stay TrainConfig's
+    out = tmp_path / "ng.ulkm"
+    assert cli.main(["unlearn", "--method", "ng", "--data", walk["data"],
+                     "--forget", "2", "--model", walk["clean"],
+                     "--out", str(out)]) == 0
+    model, ds = load_checkpoint(walk["clean"]), load_dataset(walk["data"])
+    want = run_method("ng", model.spec, model, ds,
+                      ForgetTask(frozenset({2}), dataset_id=ds.split), TrainConfig())
+    assert f"config {want.config_hash}" in capsys.readouterr().out
+    assert params_hash(load_checkpoint(str(out)).params) == \
+        params_hash(want.artifact.params)
+
+
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_train_rejects_fewer_than_one_epoch(walk, tmp_path, capsys, monkeypatch,
+                                            epochs):
+    monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("read"))
+    code = cli.main(["train", "--data", walk["data"], "--epochs", epochs,
+                     "--out", str(tmp_path / "m.ulkm")])
+    assert code == 1
+    assert f"error: --epochs must be >= 1, got {epochs}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_attack_param_diff_verdict(walk, tmp_path, capsys):

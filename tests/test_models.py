@@ -42,7 +42,8 @@ def test_head_vector_is_injective_on_distinct_heads():
 def test_clone_copies_features_and_reinits_head():
     spec = models.mlp_spec(6, 4, hidden=8)
     target = models.build(spec, seed=5)
-    clone = models.clone_frozen_head_template(target, seed=99, class_id=2)
+    clone = models.clone_frozen_head_template(target, seed=99, class_id=2,
+                                               index=0)
     fb = target.feature_boundary
     for i in range(fb):
         for key in target.params[i]:

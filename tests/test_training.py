@@ -58,9 +58,9 @@ def test_ledger_telescopes_to_final_params(small):
     m = models.build(spec, 2)
     result = train(m, ds, TrainConfig(epochs=2, seed=2), record_ledger=True)
     ledger = result.ledger
-    assert params_hash(ledger.init_params) == params_hash(m.params)
     assert ledger.final_hash == params_hash(result.model.params)
-    rebuilt = models.copy_params(ledger.init_params)
+    # train copies its input, so m still holds the initialization
+    rebuilt = models.copy_params(m.params)
     for layer, delta in zip(rebuilt, ledger.total):
         for k in delta:
             layer[k] += delta[k]
@@ -88,7 +88,8 @@ def test_ledger_sums_match_sequential_oracle(small, monkeypatch, case):
     cfg = TrainConfig(epochs=3, seed=8)
     model = models.build(spec, 8)
     if case == "frozen":
-        model = models.clone_frozen_head_template(model, seed=78)
+        model = models.clone_frozen_head_template(model, seed=78, class_id=0,
+                                                  index=0)
     elif case == "zero-epochs":
         cfg = TrainConfig(epochs=0)
     elif case == "flags-nothing":
@@ -166,7 +167,7 @@ def test_isolated_batches_are_forget_pure(small):
 def test_frozen_clone_training_never_touches_features(small):
     ds, spec = small
     base = train(models.build(spec, 4), ds, TrainConfig(epochs=4, seed=4)).model
-    clone = models.clone_frozen_head_template(base, seed=77)
+    clone = models.clone_frozen_head_template(base, seed=77, class_id=0, index=0)
     before = [{k: v.copy() for k, v in p.items()}
               for p in clone.params[:clone.feature_boundary]]
     fitted = train(clone, ds, TrainConfig(epochs=3, seed=7)).model
@@ -203,7 +204,9 @@ def test_train_matches_sequential_oracle(small, case):
     if case == "isolate":
         iso = {1, 4}
     elif case == "frozen":
-        model, iso = models.clone_frozen_head_template(model, seed=79), {0}
+        model = models.clone_frozen_head_template(model, seed=79, class_id=0,
+                                                  index=0)
+        iso = {0}
     elif case == "zero-epochs":
         cfg = TrainConfig(epochs=0)
     result = train(model, ds, cfg, record_ledger=True, isolate_classes=iso)
@@ -226,7 +229,8 @@ def test_train_checks_inputs_and_labels_once_before_any_step(small, monkeypatch)
     real = training.ad.grad_params
     monkeypatch.setattr(training.ad, "grad_params",
                         lambda *a: steps.append(1) or real(*a))
-    diverged = models.clone_frozen_head_template(models.build(spec, 3), seed=73)
+    diverged = models.clone_frozen_head_template(models.build(spec, 3), seed=73,
+                                                 class_id=0, index=0)
     diverged.params[0]["b"] = np.full_like(diverged.params[0]["b"], np.inf)
     with pytest.raises(ValueError, match="non-finite"):
         train(diverged, ds, TrainConfig(epochs=1))

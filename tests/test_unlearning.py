@@ -81,9 +81,9 @@ def test_amnesiac_hash_check_and_empty_flag_set(bench):
 
 
 def test_rollback_all_recovers_initialization(bench):
-    _, _, _, _, original = bench
+    _, spec, _, cfg, original = bench
     params = ul.rollback_all(original.model, original.ledger)
-    for got, want in zip(params, original.ledger.init_params):
+    for got, want in zip(params, models.build(spec, cfg.seed).params):
         for k in got:
             assert np.max(np.abs(got[k] - want[k])) < 1e-9
 
@@ -124,7 +124,7 @@ def test_relabel_keeping_a_label_raises_typed_error(bench, monkeypatch):
         ul.random_label(original.model, d_rest, d_unlearn, cfg, task)
 
 
-def test_negative_gradient_matches_closed_form_single_step():
+def test_negative_gradient_matches_closed_form_single_step(monkeypatch):
     # dense 1->2, W=[[0, w]], sample (x, y=1): one ascent step gives
     # W01' = w + lr*(p1-1)*x, W00' = lr*p0*x, b' = lr*[p0, p1-1]
     w, x, lr = 0.8, 1.5, 0.05
@@ -138,8 +138,10 @@ def test_negative_gradient_matches_closed_form_single_step():
                                     split="toy", filtered=True)
     task = data.ForgetTask(frozenset({1}))
     cfg = TrainConfig(epochs=1, lr=lr, batch_size=8, seed=0)
-    um = ul.negative_gradient(m, d_unlearn, cfg, task, stop_acc=0.0,
-                              lr_multiplier=1.0, max_epochs=1)
+    for name, value in (("NG_STOP_ACC", 0.0), ("NG_LR_MULTIPLIER", 1.0),
+                        ("NG_MAX_EPOCHS", 1)):
+        monkeypatch.setattr(ul, name, value)
+    um = ul.negative_gradient(m, d_unlearn, cfg, task)
     p1 = 1.0 / (1.0 + np.exp(-w * x))
     p0 = 1.0 - p1
     head = um.artifact.params[2]
@@ -149,13 +151,16 @@ def test_negative_gradient_matches_closed_form_single_step():
     assert head["b"][1] == pytest.approx(lr * (p1 - 1.0), rel=1e-12)
 
 
-def test_negative_gradient_full_batch_loss_non_decreasing(bench):
+def test_negative_gradient_full_batch_loss_non_decreasing(bench, monkeypatch):
     ds, spec, task, cfg, original = bench
     _, d_unlearn = data.split_forget(ds, task)
+    for name, value in (("NG_STOP_ACC", 0.0), ("NG_LR_MULTIPLIER", 1.0),
+                        ("NG_MAX_EPOCHS", 4)):
+        monkeypatch.setattr(ul, name, value)
     um = ul.negative_gradient(original.model, d_unlearn,
                               TrainConfig(epochs=1, lr=0.05, batch_size=len(d_unlearn),
                                           seed=0),
-                              task, stop_acc=0.0, lr_multiplier=1.0, max_epochs=4)
+                              task)
     losses = um.trace["batch_losses"]
     assert len(losses) == 4
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
